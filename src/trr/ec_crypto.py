@@ -9,6 +9,7 @@ chunk into the x-coordinate of a point.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import EmbeddingFailure, LengthMismatch, MalformedCipher
 
@@ -19,31 +20,22 @@ CURVE_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
-# gmpy2 speeds up the two modular primitives 6-8x when present; results
-# are identical exact integers either way.
-try:
-    from gmpy2 import invert as _gmpy_invert, powmod as _gmpy_powmod
-
-    def _mod_inv(a: int, m: int) -> int:
-        return int(_gmpy_invert(a, m))
-
-    def _mod_pow(b: int, e: int, m: int) -> int:
-        return int(_gmpy_powmod(b, e, m))
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def _mod_inv(a: int, m: int) -> int:
-        return pow(a, -1, m)
-
-    _mod_pow = pow
-
 _SQRT_EXP = (CURVE_P + 1) // 4  # valid because p % 4 == 3
 
 
-def _sqrt_mod_p(z: int) -> int | None:
-    """Square root of z mod p, or None when z is a non-residue."""
-    y = _mod_pow(z, _SQRT_EXP, CURVE_P)
-    if y * y % CURVE_P != z % CURVE_P:
-        return None
-    return y
+def _is_nonresidue(z: int) -> bool:
+    """Whether z has no square root mod p, by the Jacobi symbol (z/p):
+    a few times cheaper than the square root z^_SQRT_EXP itself."""
+    a, n, sign = z % CURVE_P, CURVE_P, 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        if a & n & 3 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign == -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +77,7 @@ def point_add(a: CurvePoint, b: CurvePoint) -> CurvePoint:
         if (a.y + b.y) % CURVE_P == 0:
             return INFINITY
         return point_double(a)
-    lam = (b.y - a.y) * _mod_inv(b.x - a.x, CURVE_P) % CURVE_P
+    lam = (b.y - a.y) * pow(b.x - a.x, -1, CURVE_P) % CURVE_P
     x3 = (lam * lam - a.x - b.x) % CURVE_P
     return CurvePoint(x3, (lam * (a.x - x3) - a.y) % CURVE_P)
 
@@ -93,7 +85,7 @@ def point_add(a: CurvePoint, b: CurvePoint) -> CurvePoint:
 def point_double(a: CurvePoint) -> CurvePoint:
     if a.is_infinity or a.y == 0:
         return INFINITY
-    lam = 3 * a.x * a.x * _mod_inv(2 * a.y, CURVE_P) % CURVE_P
+    lam = 3 * a.x * a.x * pow(2 * a.y, -1, CURVE_P) % CURVE_P
     x3 = (lam * lam - 2 * a.x) % CURVE_P
     return CurvePoint(x3, (lam * (a.x - x3) - a.y) % CURVE_P)
 
@@ -135,21 +127,39 @@ def _jac_add_affine(x1, y1, z1, x2, y2):
 def _jac_to_affine(x, y, z) -> CurvePoint:
     if z == 0:
         return INFINITY
-    zi = _mod_inv(z, CURVE_P)
+    zi = pow(z, -1, CURVE_P)
     zi2 = zi * zi % CURVE_P
     return CurvePoint(x * zi2 % CURVE_P, y * zi2 * zi % CURVE_P)
 
 
-_G_POWERS: list[tuple[int, int]] = []  # 2^i * G in affine, built lazily
+@cache  # built whole on first use, so no thread sees a partial table
+def _g_table() -> list[list[tuple[int, int]]]:
+    """Row i holds j * 16^i * G in affine coordinates, j = 1..15."""
+    rows, base = [], G
+    for _ in range(64):
+        row = [base]
+        for _ in range(15):
+            row.append(point_add(row[-1], base))
+        rows.append([(p.x, p.y) for p in row[:15]])
+        base = row[15]
+    return rows
 
 
-def _g_powers() -> list[tuple[int, int]]:
-    if not _G_POWERS:
-        pt = G
-        for _ in range(256):
-            _G_POWERS.append((pt.x, pt.y))
-            pt = point_double(pt)
-    return _G_POWERS
+# lambda * (x, y) = (beta * x, y) on secp256k1.  Writing k = k1 + k2 * lambda
+# with |k1|, |k2| < 2^128 (GLV) halves the doublings of a variable-base
+# multiplication; (_A1, _B1) and (_A2, _B2) span the lattice of (k1, k2)
+# with k1 + k2 * lambda = 0 mod n.
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_A1, _B1 = 0x3086D221A7D46BCDE86C90E49284EB15, -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2, _B2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8, 0x3086D221A7D46BCDE86C90E49284EB15
+
+
+def _split_scalar(k: int) -> tuple[int, int]:
+    """(k1, k2) with k = k1 + k2 * _LAMBDA mod n, both short and signed."""
+    c1 = (_B2 * k + CURVE_ORDER // 2) // CURVE_ORDER
+    c2 = (-_B1 * k + CURVE_ORDER // 2) // CURVE_ORDER
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
 def scalar_mul(k: int, pt: CurvePoint) -> CurvePoint:
@@ -157,29 +167,27 @@ def scalar_mul(k: int, pt: CurvePoint) -> CurvePoint:
     k %= CURVE_ORDER
     if k == 0 or pt.is_infinity:
         return INFINITY
-    if pt.x == _GX and pt.y == _GY:
-        # fixed-base path: one precomputed doubling per set bit
-        powers = _g_powers()
-        acc = (1, 1, 0)
-        i = 0
-        while k:
-            if k & 1:
-                px, py = powers[i]
-                if acc[2] == 0:
-                    acc = (px, py, 1)
-                else:
-                    acc = _jac_add_affine(*acc, px, py)
-            k >>= 1
-            i += 1
-        return _jac_to_affine(*acc)
     acc = (1, 1, 0)
-    for bit in bin(k)[2:]:
+    if pt.x == _GX and pt.y == _GY:
+        # fixed-base path: one precomputed addition per nonzero hex digit
+        for row in _g_table():
+            if k & 15:
+                q = row[(k & 15) - 1]
+                acc = _jac_add_affine(*acc, *q) if acc[2] else (*q, 1)
+            k >>= 4
+        return _jac_to_affine(*acc)
+    k1, k2 = _split_scalar(k)
+    p1 = CurvePoint(pt.x, pt.y if k1 >= 0 else CURVE_P - pt.y)
+    p2 = CurvePoint(_BETA * pt.x % CURVE_P, pt.y if k2 >= 0 else CURVE_P - pt.y)
+    both = point_add(p1, p2)  # finite: x = 0 is not on the curve
+    table = (None, (p1.x, p1.y), (p2.x, p2.y), (both.x, both.y))
+    k1, k2 = abs(k1), abs(k2)
+    for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
         acc = _jac_double(*acc)
-        if bit == "1":
-            if acc[2] == 0:
-                acc = (pt.x, pt.y, 1)
-            else:
-                acc = _jac_add_affine(*acc, pt.x, pt.y)
+        sel = (k1 >> i & 1) | (k2 >> i & 1) << 1
+        if sel:
+            q = table[sel]
+            acc = _jac_add_affine(*acc, *q) if acc[2] else (*q, 1)
     return _jac_to_affine(*acc)
 
 
@@ -228,8 +236,9 @@ def embed_chunk(chunk: bytes) -> CurvePoint:
         x = base | counter
         if x >= CURVE_P:
             continue
-        y = _sqrt_mod_p((x * x * x + CURVE_B) % CURVE_P)
-        if y is not None:
+        z = (x * x * x + CURVE_B) % CURVE_P
+        if not _is_nonresidue(z):
+            y = pow(z, _SQRT_EXP, CURVE_P)
             return CurvePoint(x, y if y % 2 == 0 else CURVE_P - y)
     raise EmbeddingFailure("no counter in 0..255 yields a curve point")
 
@@ -261,6 +270,28 @@ class CipherStream:
     original_length: int | None = field(default=None, compare=False)
 
 
+def _add_to_each(points, s: CurvePoint) -> list[CurvePoint]:
+    """[pt + s for pt in points] for finite points, with one field
+    inversion shared by all slopes (Montgomery's trick)."""
+    if s.is_infinity:
+        return list(points)
+    dxs = [(pt.x - s.x) % CURVE_P for pt in points]
+    if not all(dxs):  # some pt = +-s: no chord through both
+        return [point_add(pt, s) for pt in points]
+    prefix = [1]  # prefix[i] = dxs[0] * ... * dxs[i - 1]
+    for dx in dxs:
+        prefix.append(prefix[-1] * dx % CURVE_P)
+    inv = pow(prefix[-1], -1, CURVE_P)  # 1 / prefix[i + 1] at step i
+    out = []
+    for i in range(len(points) - 1, -1, -1):
+        pt = points[i]
+        lam = (pt.y - s.y) * inv * prefix[i] % CURVE_P
+        inv = inv * dxs[i] % CURVE_P
+        x3 = (lam * lam - pt.x - s.x) % CURVE_P
+        out.append(CurvePoint(x3, (lam * (pt.x - x3) - pt.y) % CURVE_P))
+    return out[::-1]
+
+
 def elgamal_encrypt(plaintext: bytes, recipient_pub: CurvePoint, rng) -> CipherStream:
     if recipient_pub.is_infinity or not is_on_curve(recipient_pub):
         raise ValueError("recipient public key not a valid curve point")
@@ -268,13 +299,9 @@ def elgamal_encrypt(plaintext: bytes, recipient_pub: CurvePoint, rng) -> CipherS
     r = rng.randrange(1, CURVE_ORDER)
     c2 = scalar_mul(r, G)
     shared = scalar_mul(r, recipient_pub)
-    blocks = []
-    for off in range(0, len(data), CHUNK_LEN):
-        chunk = data[off:off + CHUNK_LEN]
-        if len(chunk) < CHUNK_LEN:
-            chunk = chunk.ljust(CHUNK_LEN, b"\x00")
-        blocks.append(point_add(embed_chunk(chunk), shared))
-    return CipherStream(c2, tuple(blocks), len(plaintext))
+    points = [embed_chunk(data[off:off + CHUNK_LEN].ljust(CHUNK_LEN, b"\x00"))
+              for off in range(0, len(data), CHUNK_LEN)]
+    return CipherStream(c2, tuple(_add_to_each(points, shared)), len(plaintext))
 
 
 def elgamal_decrypt(cipher: CipherStream, private: int) -> bytes:
@@ -282,12 +309,13 @@ def elgamal_decrypt(cipher: CipherStream, private: int) -> bytes:
         raise MalformedCipher("cipher stream has no blocks")
     if cipher.c2.is_infinity or not is_on_curve(cipher.c2):
         raise MalformedCipher("c2 not a valid curve point")
-    neg_shared = point_neg(scalar_mul(private, cipher.c2))
-    out = bytearray()
     for block in cipher.blocks:
         if block.is_infinity or not is_on_curve(block):
             raise MalformedCipher("block not a valid curve point")
-        out += chunk_from_point(point_add(block, neg_shared))
+    neg_shared = point_neg(scalar_mul(private, cipher.c2))
+    out = bytearray()
+    for point in _add_to_each(cipher.blocks, neg_shared):
+        out += chunk_from_point(point)
     length = int.from_bytes(out[:_LEN_PREFIX], "little")
     if length > len(out) - _LEN_PREFIX:
         raise LengthMismatch(
@@ -313,8 +341,9 @@ def point_from_bytes(raw: bytes) -> CurvePoint:
     x = int.from_bytes(raw[1:], "big")
     if x >= CURVE_P:
         raise MalformedCipher("x-coordinate out of field range")
-    y = _sqrt_mod_p((x * x * x + CURVE_B) % CURVE_P)
-    if y is None:
+    z = (x * x * x + CURVE_B) % CURVE_P
+    y = pow(z, _SQRT_EXP, CURVE_P)
+    if y * y % CURVE_P != z:
         raise MalformedCipher("x-coordinate not on curve")
     if (y % 2 == 0) != (raw[0] == 2):
         y = CURVE_P - y

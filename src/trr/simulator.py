@@ -15,6 +15,10 @@ Two layers of fidelity:
   observer logging every broadcast, and an attack ledger filled by
   observer (fake) nodes.
 
+Both layers recover routes with the same walk, stitch_chains: the
+estimator feeds it node ids, AttackLedger.reconstruct the addresses its
+observer nodes recorded.
+
 Everything is seeded: identical SimConfig values produce bit-identical
 outcomes.  Per-trial seeds come from a splittable counter so trials are
 independent streams.
@@ -23,6 +27,7 @@ independent streams.
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import node_runtime
 from .ec_crypto import keygen
@@ -37,7 +42,7 @@ from .errors import (
     TrrTimeout,
 )
 from .node_runtime import SendPolicy, TrrNode, client_send
-from .onion_routing import Forward, NodeDescriptor, Release
+from .onion_routing import MAX_HOPS, Forward, NodeDescriptor, Release
 from .wire_protocol import MAX_TX_SIZE
 
 HONEST = "honest"
@@ -45,6 +50,7 @@ FAKE_TRR = "fake_trr"
 DISHONEST_MODES = ("deny_connection", "drop_data", "no_release", "wrong_pubkey")
 
 BLOCK_INTERVAL_TICKS = 100
+MAX_CHAINS_PER_RELEASE = 65  # bounds AttackLedger.reconstruct on pooled ledgers
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,68 +140,54 @@ def estimate_srd(cfg: SimConfig) -> float:
             routes.append(route)
         if not any(fake[route[-1]] for route in routes):
             continue  # no observed releasing hop, nothing to stitch
-        entries = _ledger_entries(routes, fake, client_addr)
-        if any(_stitch_route(route, entries, client_addr) for route in routes):
+        records = [(route[i - 1] if i else client_addr, node,
+                    route[i + 1] if i + 1 < len(route) else None)
+                   for route in routes for i, node in enumerate(route)
+                   if fake[node]]
+        if any(chain in routes
+               for _, chains in stitch_chains(records, client_addr)
+               for chain in chains):
             successes += 1
     return successes / cfg.trials
 
 
-RELEASE_MARK = -1  # "no next node" in an observer ledger entry
+def stitch_chains(records, client_addr):
+    """Attacker reconstruction by chain-stitching observer records.
 
-
-def _ledger_entries(routes, fake, client_addr):
-    """Observations pooled across one trial: every observer hop records
-    (previous address, own address, next address or RELEASE_MARK)."""
-    entries = []
-    for route in routes:
-        for i, node in enumerate(route):
-            if not fake[node]:
-                continue
-            prev_addr = route[i - 1] if i > 0 else client_addr
-            next_addr = route[i + 1] if i < len(route) - 1 else RELEASE_MARK
-            entries.append((prev_addr, node, next_addr))
-    return entries
-
-
-def _stitch_route(route, entries, client_addr) -> bool:
-    """Attacker reconstruction by chain-stitching ledger addresses.
-
-    Walk backwards from the releasing observation.  A link either
-    matches an observer entry directly or bridges one unobserved hop
-    whose address the two neighbouring observers both recorded; two
-    consecutive unobserved hops leave no matching records and the walk
-    dies.  Success requires the recovered chain to equal the actual
-    route back to the client address (which also implies the releasing
-    observer holds the transaction content).
+    records are (previous address, own address, next address) triples,
+    the next address None at the releasing hop.  For every releasing
+    record, yields its index and a lazy iterator over the address chains
+    (first hop to releasing hop) that walk back from it to client_addr.
+    A link either matches an observer record directly or bridges one
+    unobserved hop whose address the two neighbouring observers both
+    recorded; two consecutive unobserved hops leave no matching records
+    and the walk dies.  Records pooled across routes or requests can
+    interlink, so chains that are no real route come out too; no chain
+    is longer than MAX_HOPS.
     """
-    releasing = route[-1]
-    starts = [e for e in entries if e[1] == releasing and e[2] == RELEASE_MARK]
-    if not starts:
-        return False
-    by_self: dict[int, list] = {}
-    by_next: dict[int, list] = {}
-    for e in entries:
-        by_self.setdefault(e[1], []).append(e)
-        if e[2] != RELEASE_MARK:
-            by_next.setdefault(e[2], []).append(e)
+    by_self: dict = {}
+    by_next: dict = {}
+    for rec in records:
+        by_self.setdefault(rec[1], []).append(rec)
+        if rec[2] is not None:
+            by_next.setdefault(rec[2], []).append(rec)
 
-    target = [client_addr] + list(route)
-
-    def walk(entry, chain) -> bool:
-        if len(chain) > len(route):  # cross-route loops cannot match
-            return False
-        prev_addr = entry[0]
+    def walk(rec, chain):
+        if len(chain) > MAX_HOPS:  # no legal route is longer
+            return
+        prev_addr = rec[0]
         if prev_addr == client_addr:
-            return [client_addr] + chain == target
+            yield chain
+            return
         for cand in by_self.get(prev_addr, ()):
-            if cand[2] == entry[1] and walk(cand, [prev_addr] + chain):
-                return True
+            if cand[2] == rec[1]:
+                yield from walk(cand, [prev_addr] + chain)
         for cand in by_next.get(prev_addr, ()):  # bridge one unobserved hop
-            if walk(cand, [cand[1], prev_addr] + chain):
-                return True
-        return False
+            yield from walk(cand, [cand[1], prev_addr] + chain)
 
-    return any(walk(e, [releasing]) for e in starts)
+    for i, rec in enumerate(records):
+        if rec[2] is None:
+            yield i, walk(rec, [rec[1]])
 
 
 def route_pattern_reconstructible(flags) -> bool:
@@ -326,44 +318,21 @@ class AttackLedger:
 
     def reconstruct(self, client_addr):
         """Stitch full chains from releasing observations back to the
-        client address; returns (address chain, txid) pairs.  Bridged
-        hops contribute the address both neighbouring observers saw.
-
-        Observations pooled across requests can interlink, so every
-        stitchable chain is enumerated; candidates that mix requests
-        simply fail the caller's comparison with real routes.
+        client address with stitch_chains; returns (address chain, txid)
+        pairs, at most MAX_CHAINS_PER_RELEASE chains per releasing
+        observation.  Chains that mix requests simply fail the caller's
+        comparison with real routes.
         """
-        by_self = {}
-        by_next = {}
-        for e in self.entries:
-            by_self.setdefault(e.self_addr, []).append(e)
-            if e.next_addr is not None:
-                by_next.setdefault(e.next_addr, []).append(e)
+        records = [(e.prev_addr, e.self_addr, e.next_addr) for e in self.entries]
         recovered = []
-
-        def walk(entry, chain, out):
-            if len(chain) > 11 or len(out) > 64:  # no legal route is longer
-                return
-            prev = entry.prev_addr
-            if prev == client_addr:
-                out.append(chain)
-                return
-            for cand in by_self.get(prev, ()):
-                if cand.next_addr == entry.self_addr:
-                    walk(cand, [cand.self_addr] + chain, out)
-            for cand in by_next.get(prev, ()):
-                walk(cand, [cand.self_addr, prev] + chain, out)
-
         seen = set()
-        for e in self.entries:
-            if e.next_addr is None:
-                hits: list = []
-                walk(e, [e.self_addr], hits)
-                for chain in hits:
-                    key = (tuple(chain), e.txid)
-                    if key not in seen:
-                        seen.add(key)
-                        recovered.append((chain, e.txid))
+        for i, chains in stitch_chains(records, client_addr):
+            txid = self.entries[i].txid
+            for chain in islice(chains, MAX_CHAINS_PER_RELEASE):
+                key = (tuple(chain), txid)
+                if key not in seen:
+                    seen.add(key)
+                    recovered.append((chain, txid))
         return recovered
 
 
@@ -481,13 +450,8 @@ def run_end_to_end(cfg: SimConfig, tx: bytes,
     tid = node_runtime.txid(tx)
     try:
         report = world.send(tx, policy)
-        success = report.success
-        rounds = report.total_rounds
-        routes = [a.hop_ids for rnd in report.rounds for a in rnd.attempts]
     except GiveUp as exc:
-        success = False
-        rounds = exc.report.total_rounds
-        routes = [a.hop_ids for rnd in exc.report.rounds for a in rnd.attempts]
+        report = exc.report  # success is False
     events = [e for node in world.nodes for e in node.events]
     release_ticks = [tick for tick, origin, t in world.broadcast.log if t == tid]
     try:
@@ -495,8 +459,10 @@ def run_end_to_end(cfg: SimConfig, tx: bytes,
     except NotObserved:
         spreader = None
     return TraceReport(
-        config=cfg, txid_hex=tid.hex(), success=success, rounds=rounds,
-        route_ids=routes, node_events=events, release_ticks=release_ticks,
+        config=cfg, txid_hex=tid.hex(), success=report.success,
+        rounds=report.total_rounds,
+        route_ids=[a.hop_ids for rnd in report.rounds for a in rnd.attempts],
+        node_events=events, release_ticks=release_ticks,
         sybil_log=list(world.broadcast.log),
         recovered_routes=world.attack_ledger.reconstruct(world.client_addr),
         first_spreader=spreader)

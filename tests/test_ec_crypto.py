@@ -69,6 +69,69 @@ class TestGroupLaws:
             assert ec.point_add(c1, ec.point_neg(shared)) == m
 
 
+def affine_double_and_add(k, pt):
+    # slow reference: one affine doubling per bit of k, no tables
+    acc = ec.INFINITY
+    for bit in bin(k % N)[2:]:
+        acc = ec.point_double(acc)
+        if bit == "1":
+            acc = ec.point_add(acc, pt)
+    return acc
+
+
+class TestFastPaths:
+    # the fixed-base table, the GLV split, the shared inversion and the
+    # Jacobi-symbol filter against slow references
+
+    EDGE_SCALARS = (1, 2, 15, 16, 17, 2**128 - 1, 2**128, 15 * 16**63,
+                    N - 2, N - 1, N + 1, -1, 0)
+
+    def test_scalar_mul_matches_reference(self, rng):
+        pts = [ec.G, ec.point_neg(ec.G),
+               ec.scalar_mul(rng.randrange(1, N), ec.G)]
+        scalars = list(self.EDGE_SCALARS) + [rng.randrange(N) for _ in range(40)]
+        for k in scalars:
+            for pt in pts:
+                assert ec.scalar_mul(k, pt) == affine_double_and_add(k, pt), k
+
+    def test_endomorphism_constants(self, rng):
+        assert ec.scalar_mul(ec._LAMBDA, ec.G) == ec.CurvePoint(
+            ec._BETA * ec.G.x % P, ec.G.y)
+        for k in list(self.EDGE_SCALARS) + [rng.randrange(N) for _ in range(2000)]:
+            k %= N
+            k1, k2 = ec._split_scalar(k)
+            assert (k1 + k2 * ec._LAMBDA - k) % N == 0
+            assert abs(k1) < 2**129 and abs(k2) < 2**129, k
+
+    def test_batch_addition_matches_point_add(self, rng):
+        s = ec.scalar_mul(rng.randrange(1, N), ec.G)
+        pts = [ec.scalar_mul(rng.randrange(1, N), ec.G) for _ in range(5)]
+        assert ec._add_to_each(pts, s) == [ec.point_add(p, s) for p in pts]
+        # a point equal to s or to -s has no chord through s
+        for odd in (s, ec.point_neg(s)):
+            mixed = pts[:2] + [odd] + pts[2:]
+            assert ec._add_to_each(mixed, s) == [ec.point_add(p, s) for p in mixed]
+        assert ec._add_to_each(pts, ec.INFINITY) == pts
+
+    def test_shared_secret_matches_openssl(self, rng):
+        # ECDH against an independent secp256k1 implementation
+        ecc = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
+        for _ in range(20):
+            a, b = ec.keygen(rng), ec.keygen(rng)
+            theirs = ecc.derive_private_key(b.private, ecc.SECP256K1())
+            assert theirs.public_key().public_numbers().x == b.public.x
+            peer = ecc.EllipticCurvePublicNumbers(
+                a.public.x, a.public.y, ecc.SECP256K1()).public_key()
+            shared = theirs.exchange(ecc.ECDH(), peer)
+            assert shared == ec.scalar_mul(b.private, a.public).x.to_bytes(32, "big")
+
+    def test_nonresidue_matches_euler_criterion(self, rng):
+        values = [0, 1, 2, 7, P - 1, P, P + 3] + [rng.randrange(P) for _ in range(2000)]
+        for z in values:
+            euler = pow(z, (P - 1) // 2, P)
+            assert ec._is_nonresidue(z) == (euler == P - 1), z
+
+
 class TestKeygen:
     def test_keypair_relation(self, rng):
         kp = ec.keygen(rng)

@@ -4,22 +4,24 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trr import node_runtime as nr
 from trr.analytics import RouteParams, srd_closed_form, srtr_closed_form
 from trr.errors import GiveUp, InvalidConfig, NotObserved
 from trr.node_runtime import SendPolicy
+from trr.onion_routing import MAX_HOPS
 from trr.simulator import (
     FAKE_TRR,
     HONEST,
     SimConfig,
     SimWorld,
-    _ledger_entries,
-    _stitch_route,
     estimate_srd,
     estimate_srtr,
     route_pattern_reconstructible,
     run_end_to_end,
+    stitch_chains,
     sybil_first_spreader,
     trial_seed,
 )
@@ -85,6 +87,21 @@ class TestEstimators:
             assert abs(estimate_srd(cfg) - cf) < 4 * se
 
 
+def observer_records(routes, observed, client):
+    """(previous, own, next or None) for every observed hop of routes."""
+    records = []
+    for route in routes:
+        hops = [client] + list(route) + [None]
+        records += [tuple(hops[i:i + 3]) for i in range(len(route))
+                    if observed[route[i]]]
+    return records
+
+
+def stitched(records, client):
+    return [chain for _, chains in stitch_chains(records, client)
+            for chain in chains]
+
+
 class TestStitching:
     def test_stitch_equals_predicate_exhaustively(self):
         # every observer pattern for route lengths 1..8
@@ -92,10 +109,39 @@ class TestStitching:
         for h in range(1, 9):
             route = list(range(h))
             for bits in itertools.product([False, True], repeat=h):
-                fake = dict(zip(route, bits))
-                entries = _ledger_entries([route], fake, client)
-                assert _stitch_route(route, entries, client) == \
+                records = observer_records([route], dict(zip(route, bits)),
+                                           client)
+                assert (route in stitched(records, client)) == \
                     route_pattern_reconstructible(bits), (h, bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_interlinked_routes_match_predicate(self, data):
+        # routes share nodes of a small population and pool their records
+        # in one ledger; each node is an observer on every route or none
+        client = -1
+        population = data.draw(st.integers(2, MAX_HOPS))
+        observed = data.draw(st.lists(st.booleans(), min_size=population,
+                                      max_size=population))
+        routes = data.draw(st.lists(
+            st.lists(st.integers(0, population - 1), min_size=1,
+                     max_size=min(population, MAX_HOPS), unique=True),
+            min_size=1, max_size=4))
+        chains = stitched(observer_records(routes, observed, client), client)
+        assert all(len(chain) <= MAX_HOPS for chain in chains)
+        for route in routes:
+            assert (route in chains) == route_pattern_reconstructible(
+                observed[node] for node in route), route
+
+    def test_direct_link_needs_recorded_next_address(self):
+        # observer 1 forwarded [5, 1, 2] to 2 and was the first hop of
+        # [1, 4]; its record of the second request must not complete the
+        # first, whose unobserved first hop 5 hides the client
+        client = -1
+        records = observer_records([[5, 1, 2], [1, 4]],
+                                   {1: True, 2: True, 4: False, 5: False},
+                                   client)
+        assert stitched(records, client) == []
 
     def test_predicate_examples(self):
         assert route_pattern_reconstructible([True])
@@ -209,9 +255,9 @@ class TestFakeNodesAttack:
             expected = any(
                 route_pattern_reconstructible([flags[h] for h in attempt.hop_ids])
                 for attempt in report.rounds[0].attempts)
-            chains = [c for c, t in
-                      world.attack_ledger.reconstruct(world.client_addr)
-                      if t == tid]
+            recovered = world.attack_ledger.reconstruct(world.client_addr)
+            assert all(len(c) <= MAX_HOPS for c, _ in recovered), f"send {i}"
+            chains = [c for c, t in recovered if t == tid]
             actual_routes = {tuple((world.directory[h].ip, 8333)
                                    for h in attempt.hop_ids)
                              for attempt in report.rounds[0].attempts}
