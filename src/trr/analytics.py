@@ -25,6 +25,7 @@ import io
 from dataclasses import dataclass
 
 from .errors import DelayOutOfRange, InvalidConfig
+from .wire_protocol import MAX_RELEASE_DELAY, MIN_RELEASE_DELAY
 
 CSV_COLUMNS = ("d", "f", "h", "r", "srtr_cf", "srd_cf")
 CSV_MC_COLUMNS = ("srtr_mc", "srtr_se", "srd_mc", "srd_se")
@@ -84,8 +85,9 @@ def srd_closed_form(p: RouteParams):
 def mixing_stats(delay_blocks: int, tx_per_block: int) -> int:
     """Expected number of unrelated transactions mixed in while a
     release waits out its delay."""
-    if not 1 <= delay_blocks <= 5:
-        raise DelayOutOfRange(f"delay {delay_blocks} not in 1..5")
+    if not MIN_RELEASE_DELAY <= delay_blocks <= MAX_RELEASE_DELAY:
+        raise DelayOutOfRange(f"delay {delay_blocks} not in "
+                              f"{MIN_RELEASE_DELAY}..{MAX_RELEASE_DELAY}")
     return delay_blocks * tx_per_block
 
 

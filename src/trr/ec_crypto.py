@@ -8,7 +8,7 @@ the plaintext, splitting it into 31-byte chunks and embedding each
 chunk into the x-coordinate of a point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .errors import EmbeddingFailure, LengthMismatch, MalformedCipher
@@ -258,16 +258,11 @@ _LEN_PREFIX = 4
 @dataclass(frozen=True, slots=True)
 class CipherStream:
     """One encryption call's output: shared c2 = rG plus one C1 block
-    per plaintext chunk.
-
-    original_length is encrypt-side metadata (the plaintext byte count
-    travels inside the encrypted payload, so deserialized streams carry
-    None); it is excluded from equality so serialization round-trips.
-    """
+    per plaintext chunk.  The plaintext byte count travels inside the
+    encrypted payload."""
 
     c2: CurvePoint
     blocks: tuple[CurvePoint, ...]
-    original_length: int | None = field(default=None, compare=False)
 
 
 def _add_to_each(points, s: CurvePoint) -> list[CurvePoint]:
@@ -301,7 +296,7 @@ def elgamal_encrypt(plaintext: bytes, recipient_pub: CurvePoint, rng) -> CipherS
     shared = scalar_mul(r, recipient_pub)
     points = [embed_chunk(data[off:off + CHUNK_LEN].ljust(CHUNK_LEN, b"\x00"))
               for off in range(0, len(data), CHUNK_LEN)]
-    return CipherStream(c2, tuple(_add_to_each(points, shared)), len(plaintext))
+    return CipherStream(c2, tuple(_add_to_each(points, shared)))
 
 
 def elgamal_decrypt(cipher: CipherStream, private: int) -> bytes:

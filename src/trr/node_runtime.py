@@ -115,23 +115,20 @@ class PendingRelease:
     tx: bytes
     txid: bytes
     release_height: int
-    return_pubkey: bytes  # 32-byte x-coordinate from the routing header
 
 
 class TrrNode:
     """One relay node: peels layers, forwards or releases."""
 
     def __init__(self, keypair: KeyPair, descriptor: NodeDescriptor,
-                 transport, view, rng, *, height: int = 0,
-                 pool_capacity: int = POOL_CAPACITY, now=None):
+                 transport, view, rng, *, now=None):
         self.keypair = keypair
         self.descriptor = descriptor
         self.transport = transport
         self.view = view
         self.rng = rng
-        self.height = height
+        self.height = 0
         self.pool: list[PendingRelease] = []
-        self.pool_capacity = pool_capacity
         self.now = now or (lambda: int(time.time()))
         self.events: list[dict] = []
         self._lock = threading.Lock()
@@ -174,7 +171,7 @@ class TrrNode:
             self._log("forwarded", next_ip=format_ipv4(fwd.next_ip),
                       next_port=fwd.next_port)
             return ack_bytes  # downstream ack relayed verbatim
-        except (TrrTimeout, NextHopUnreachable, PeerClosed, NotTrr) as exc:
+        except tuple(_ERRNO_FOR) as exc:
             errno = _ERRNO_FOR[type(exc)]
             self._log("forward_failed", next_ip=format_ipv4(fwd.next_ip),
                       errno=errno)
@@ -190,14 +187,13 @@ class TrrNode:
             return self._own_ack(rel.return_pubkey, errno=ERR_INVALID_TX,
                                  err_ip=me.ip, errmsg=b"verify failed")
         with self._lock:
-            if len(self.pool) >= self.pool_capacity:
+            if len(self.pool) >= POOL_CAPACITY:
                 full = True
             else:
                 full = False
                 entry = PendingRelease(
                     tx=data.tx, txid=txid(data.tx),
-                    release_height=self.height + data.release_delay,
-                    return_pubkey=rel.return_pubkey)
+                    release_height=self.height + data.release_delay)
                 self.pool.append(entry)
         if full:
             self._log("pool_full")
@@ -343,12 +339,11 @@ class TcpTransport:
 
 def run_node_server(node: TrrNode, host: str, port: int, *,
                     timeout: float = DEFAULT_TIMEOUT,
-                    stop_event: threading.Event | None = None) -> None:
+                    stop_event: threading.Event) -> None:
     """Accept loop for a TCP node; one thread per connection."""
-    stop = stop_event or threading.Event()
     with socket.create_server((host, port)) as server:
         server.settimeout(0.2)
-        while not stop.is_set():
+        while not stop_event.is_set():
             try:
                 sock, _ = server.accept()
             except socket.timeout:
@@ -360,15 +355,14 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
 
 def serve_node(node: TrrNode, host: str, port: int, clock, *,
                timeout: float = DEFAULT_TIMEOUT,
-               stop_event: threading.Event | None = None,
+               stop_event: threading.Event,
                poll_interval: float = 0.2) -> None:
     """Serve TCP connections while following an external block clock."""
-    stop = stop_event or threading.Event()
     server = threading.Thread(
         target=run_node_server, args=(node, host, port),
-        kwargs={"timeout": timeout, "stop_event": stop}, daemon=True)
+        kwargs={"timeout": timeout, "stop_event": stop_event}, daemon=True)
     server.start()
-    while not stop.is_set():
+    while not stop_event.is_set():
         height = clock.height()
         if height > node.height:
             node.on_new_block(height)
@@ -417,7 +411,7 @@ class SendReport:
 
 def client_send(tx: bytes, directory: list[NodeDescriptor],
                 policy: SendPolicy, rng, *, transport, view, clock,
-                client_addr=(0, 0), exclude_id=None, now=None) -> SendReport:
+                client_addr=(0, 0), now=None) -> SendReport:
     """Dispatch tx over policy.num_routes fresh routes, wait out the
     release delay, and retry with new routes until the transaction is
     observed in the broadcast view.
@@ -431,8 +425,7 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
     tid = txid(tx)
     rounds: list[SendRound] = []
     for _ in range(policy.retry_rounds):
-        routes = select_routes(directory, policy.num_routes, policy.hops,
-                               rng, exclude_id=exclude_id)
+        routes = select_routes(directory, policy.num_routes, policy.hops, rng)
         return_kp = keygen_even(rng)
         sent_round = SendRound(dispatch_height=clock.height())
         max_delay = 1

@@ -62,8 +62,8 @@ class Route:
         return len(self.hops)
 
 
-def select_routes(directory, num_routes: int, hops_per_route: int, rng,
-                  exclude_id=None) -> list[Route]:
+def select_routes(directory, num_routes: int, hops_per_route: int,
+                  rng) -> list[Route]:
     """Sample num_routes routes of hops_per_route distinct nodes each.
 
     Hops are drawn uniformly without replacement and in random order
@@ -73,11 +73,10 @@ def select_routes(directory, num_routes: int, hops_per_route: int, rng,
         raise ValueError(f"hops_per_route must be in {MIN_HOPS}..{MAX_HOPS}")
     if num_routes < 1:
         raise ValueError("num_routes must be at least 1")
-    pool = [d for d in directory if d.node_id != exclude_id]
-    if len(pool) < hops_per_route:
+    if len(directory) < hops_per_route:
         raise InsufficientNodes(
-            f"directory holds {len(pool)} eligible nodes, need {hops_per_route}")
-    return [Route(tuple(rng.sample(pool, hops_per_route)))
+            f"directory holds {len(directory)} nodes, need {hops_per_route}")
+    return [Route(tuple(rng.sample(directory, hops_per_route)))
             for _ in range(num_routes)]
 
 

@@ -26,7 +26,7 @@ independent streams.
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from . import node_runtime
@@ -42,7 +42,7 @@ from .errors import (
     TrrTimeout,
 )
 from .node_runtime import SendPolicy, TrrNode, client_send
-from .onion_routing import MAX_HOPS, Forward, NodeDescriptor, Release
+from .onion_routing import MAX_HOPS, MIN_HOPS, Forward, NodeDescriptor, Release
 from .wire_protocol import MAX_TX_SIZE
 
 HONEST = "honest"
@@ -70,8 +70,9 @@ class SimConfig:
             raise InvalidConfig("rates must lie in [0, 1]")
         if self.dishonest_rate + self.fake_rate > 1:
             raise InvalidConfig("dishonest_rate + fake_rate must not exceed 1")
-        if self.num_routes < 1 or not 1 <= self.hops <= 10:
-            raise InvalidConfig("num_routes >= 1 and hops in 1..10 required")
+        if self.num_routes < 1 or not MIN_HOPS <= self.hops <= MAX_HOPS:
+            raise InvalidConfig(f"num_routes >= 1 and hops in "
+                                f"{MIN_HOPS}..{MAX_HOPS} required")
         if self.trials < 1:
             raise InvalidConfig("trials must be at least 1")
 
@@ -360,15 +361,19 @@ class InProcessTransport:
 class SimWorld:
     """Fully wired network of SimNodes for end-to-end runs."""
 
-    def __init__(self, cfg: SimConfig, *, client_ip=0xC0A80001, client_port=9):
+    def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(trial_seed(cfg.seed, 0) ^ 0xE2E)
+        # every node draws its ack randomness from this one stream, kept
+        # apart from self.rng so the client's draws do not depend on acks
+        self.node_rng = random.Random(trial_seed(cfg.seed, 1))
         self.clock = SimClock(self)
+        self.now = lambda: self.clock.tick
         self.broadcast = SimBroadcast(self)
         self.transport = InProcessTransport(self)
         self.attack_ledger = AttackLedger()
-        self.client_addr = (client_ip, client_port)
+        self.client_addr = (0xC0A80001, 9)
         self.nodes: list[SimNode] = []
         self.directory: list[NodeDescriptor] = []
         self.by_addr: dict[tuple, SimNode] = {}
@@ -387,20 +392,17 @@ class SimWorld:
         behavior = self._behavior()
         keypair = keygen(self.rng)
         ip = 0x0A000001 + node_id  # 10.0.0.1 upward
-        advertised = keypair.public
-        if behavior == "wrong_pubkey":
-            advertised = keygen(self.rng).public  # directory lies
         descriptor = NodeDescriptor(node_id=node_id, ip=ip, port=8333,
                                     pubkey=keypair.public)
+        listed = descriptor
+        if behavior == "wrong_pubkey":  # the directory lies
+            listed = replace(descriptor, pubkey=keygen(self.rng).public)
         node = SimNode(keypair, descriptor, self.transport,
-                       NodeView(self.broadcast, node_id),
-                       random.Random(trial_seed(self.cfg.seed, node_id + 1)),
-                       now=lambda: self.clock.tick,
-                       behavior=behavior, world=self)
+                       NodeView(self.broadcast, node_id), self.node_rng,
+                       now=self.now, behavior=behavior, world=self)
         self.nodes.append(node)
         self.by_addr[(ip, 8333)] = node
-        self.directory.append(
-            NodeDescriptor(node_id=node_id, ip=ip, port=8333, pubkey=advertised))
+        self.directory.append(listed)
 
     def send(self, tx: bytes, policy: SendPolicy, rng=None):
         """client_send over this world's transport/view/clock."""
@@ -408,8 +410,7 @@ class SimWorld:
             tx, self.directory, policy, rng or self.rng,
             transport=self.transport,
             view=NodeView(self.broadcast, "client"),
-            clock=self.clock, client_addr=self.client_addr,
-            now=lambda: self.clock.tick)
+            clock=self.clock, client_addr=self.client_addr, now=self.now)
 
     def direct_send(self, tx: bytes) -> None:
         """Baseline non-TRR broadcast straight from the client; the

@@ -116,12 +116,12 @@ class TestHandleRequest:
     def test_pool_capacity_boundary(self, world):
         assert nr.POOL_CAPACITY == 1000
         node = world.nodes[4]
-        filler = nr.PendingRelease(b"x", nr.txid(b"x"), 99, bytes(32))
-        node.pool = [filler] * node.pool_capacity  # the 1001st must bounce
+        filler = nr.PendingRelease(b"x", nr.txid(b"x"), 99)
+        node.pool = [filler] * nr.POOL_CAPACITY  # the 1001st must bounce
         onion, ret = make_onion(world, [4], b"tx")
         ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret.private)
         assert ack.errno == nr.ERR_POOL_FULL
-        assert len(node.pool) == node.pool_capacity
+        assert len(node.pool) == nr.POOL_CAPACITY
 
     def test_invalid_tx_rejected(self, world):
         node = world.nodes[5]
@@ -280,9 +280,12 @@ class TestFrameSocket:
 
     def test_request_over_tcp_server(self, world):
         node = world.nodes[0]
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
         stop = threading.Event()
         server = threading.Thread(
-            target=nr.run_node_server, args=(node, "127.0.0.1", 18451),
+            target=nr.run_node_server, args=(node, "127.0.0.1", port),
             kwargs={"timeout": 2.0, "stop_event": stop}, daemon=True)
         server.start()
         try:
@@ -291,13 +294,15 @@ class TestFrameSocket:
             deadline = 50
             while deadline:
                 try:
-                    raw = transport.request(parse_ipv4("127.0.0.1"), 18451, onion)
+                    raw = transport.request(parse_ipv4("127.0.0.1"), port, onion)
                     break
                 except Exception:
                     deadline -= 1
                     threading.Event().wait(0.05)
             ack = decrypt_ack(raw, ret.private)
             assert ack.errno == nr.ERR_OK
+            assert [p.tx for p in node.pool] == [b"tcp tx"]
+            assert server.is_alive()  # this server answered, not another one
         finally:
             stop.set()
             server.join(timeout=3)

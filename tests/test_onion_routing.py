@@ -68,12 +68,6 @@ class TestSelectRoutes:
         with pytest.raises(InsufficientNodes):
             select_routes(directory[:3], 1, 4, random.Random(0))
 
-    def test_exclude_self(self, directory):
-        rng = random.Random(3)
-        for _ in range(200):
-            (route,) = select_routes(directory[:4], 1, 3, rng, exclude_id=0)
-            assert 0 not in {h.node_id for h in route.hops}
-
     def test_hops_distinct_within_route(self, directory):
         rng = random.Random(5)
         for _ in range(100):

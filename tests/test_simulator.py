@@ -1,7 +1,9 @@
 """Estimator correctness, attack-ledger stitching and end-to-end traces."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,33 @@ class TestWorldDeterminism:
         assert a.route_ids != b.route_ids
 
 
+class TestWorldFootprint:
+    def test_build_cost_per_node(self):
+        SimWorld(SimConfig(n_nodes=3, seed=1))  # fills one-time curve caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            SimWorld(SimConfig(n_nodes=300, fake_rate=0.2, dishonest_rate=0.1,
+                               seed=11))
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traced / 300 < 2048
+
+    def test_nodes_share_one_ack_stream_and_their_descriptors(self):
+        world = SimWorld(SimConfig(n_nodes=40, dishonest_rate=0.5, seed=12))
+        assert len({id(node.rng) for node in world.nodes}) == 1
+        assert world.nodes[0].rng is not world.rng
+        liars = [node.behavior == "wrong_pubkey" for node in world.nodes]
+        assert any(liars)
+        for node, listed, lies in zip(world.nodes, world.directory, liars):
+            if lies:
+                assert listed.pubkey != node.keypair.public
+                assert listed.ip == node.descriptor.ip
+            else:
+                assert listed is node.descriptor
+
+
 class TestEndToEnd:
     def test_honest_world_releases_and_hides_client(self):
         cfg = SimConfig(n_nodes=30, seed=13, num_routes=3, hops=3)
@@ -308,10 +337,9 @@ class TestSybilObserver:
 
 
 class TestPoolInvariant:
-    def test_pool_never_exceeds_capacity(self):
+    def test_pool_never_exceeds_capacity(self, monkeypatch):
+        monkeypatch.setattr(nr, "POOL_CAPACITY", 1)
         world = SimWorld(SimConfig(n_nodes=12, seed=60))
-        for node in world.nodes:
-            node.pool_capacity = 2
         for i in range(30):
             try:
                 world.send(bytes([i + 1]) * 8,
@@ -319,4 +347,6 @@ class TestPoolInvariant:
                                       retry_rounds=1))
             except GiveUp:
                 pass
-            assert all(len(n.pool) <= 2 for n in world.nodes)
+            assert all(len(n.pool) <= 1 for n in world.nodes)
+        # the cap binds when both routes end at the same node
+        assert any(e["event"] == "pool_full" for n in world.nodes for e in n.events)
