@@ -32,10 +32,17 @@ logger = logging.getLogger("trr.cli")
 # -- file-backed adapters (blockchain stand-ins) ---------------------------
 
 class FileBroadcastView:
-    """Append-only log file standing in for the broadcast network."""
+    """Append-only log file standing in for the broadcast network.
+
+    Seen txids are kept in a set; each check reads only the complete
+    lines appended since the last read, by this view or any other.
+    """
 
     def __init__(self, path: str):
         self.path = path
+        self._seen: set[bytes] = set()  # txid hex, as logged
+        self._offset = 0  # bytes of the log already read
+        self._lock = threading.Lock()
 
     def broadcast(self, tx: bytes) -> None:
         tid = node_runtime.txid(tx)
@@ -43,12 +50,24 @@ class FileBroadcastView:
             fh.write(f"{tid.hex()} {tx.hex()}\n")
 
     def seen_in_blockchain_or_mempool(self, txid: bytes) -> bool:
-        want = txid.hex()
+        want = txid.hex().encode("ascii")
+        with self._lock:
+            if want not in self._seen:
+                self._read_new_lines()
+            return want in self._seen
+
+    def _read_new_lines(self) -> None:
         try:
-            with open(self.path, encoding="ascii") as fh:
-                return any(line.split(" ", 1)[0] == want for line in fh)
+            fh = open(self.path, "rb")
         except FileNotFoundError:
-            return False
+            return
+        with fh:
+            fh.seek(self._offset)
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break  # a half-written last line waits
+                self._seen.add(line.split(b" ", 1)[0])
+                self._offset += len(line)
 
     def verify(self, tx: bytes) -> bool:
         return 0 < len(tx) <= MAX_TX_SIZE

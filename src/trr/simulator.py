@@ -13,7 +13,10 @@ Two layers of fidelity:
 * SimWorld + run_end_to_end build real nodes with real keypairs wired
   through an in-process transport, a tick-based block clock, a Sybil
   observer logging every broadcast, and an attack ledger filled by
-  observer (fake) nodes.
+  observer (fake) nodes.  The world draws every node's behavior and
+  private scalar up front but builds a node (public key, descriptors,
+  SimNode) only when it is first touched, so build cost follows the
+  nodes a run actually uses; blocks reach only the nodes already built.
 
 Both layers recover routes with the same walk, stitch_chains: the
 estimator feeds it node ids, AttackLedger.reconstruct the addresses its
@@ -24,13 +27,14 @@ outcomes.  Per-trial seeds come from a splittable counter so trials are
 independent streams.
 """
 
+import bisect
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
-from . import node_runtime
-from .ec_crypto import keygen
+from . import ec_crypto, node_runtime
 from .errors import (
     GiveUp,
     InvalidConfig,
@@ -50,6 +54,8 @@ FAKE_TRR = "fake_trr"
 DISHONEST_MODES = ("deny_connection", "drop_data", "no_release", "wrong_pubkey")
 
 BLOCK_INTERVAL_TICKS = 100
+NODE_IP_BASE = 0x0A000001  # node i listens at 10.0.0.1 + i
+NODE_PORT = 8333
 MAX_CHAINS_PER_RELEASE = 65  # bounds AttackLedger.reconstruct on pooled ledgers
 
 
@@ -205,8 +211,9 @@ def route_pattern_reconstructible(flags) -> bool:
 
 class SimClock:
     """Tick counter with a block height derived every
-    BLOCK_INTERVAL_TICKS ticks; advancing a block notifies every node in
-    node-id order."""
+    BLOCK_INTERVAL_TICKS ticks; advancing a block notifies every built
+    node in node-id order.  A node built later starts at the current
+    height, which is all an unbuilt node's empty pool would have done."""
 
     def __init__(self, world):
         self._world = world
@@ -219,7 +226,7 @@ class SimClock:
     def advance_block(self) -> None:
         self.tick = (self.tick // BLOCK_INTERVAL_TICKS + 1) * BLOCK_INTERVAL_TICKS
         self._height += 1
-        for node in self._world.nodes:
+        for node in self._world.built:
             node.on_new_block(self._height)
 
     def wait_for(self, height: int) -> None:
@@ -263,11 +270,12 @@ class NodeView:
 
 
 def sybil_first_spreader(log, txid: bytes):
-    """Node that announced txid earliest (ties broken by lowest id)."""
+    """Origin that announced txid earliest; within a tick the log's
+    append order decides, so node ids and "client" are never compared."""
     hits = [(tick, origin) for tick, origin, tid in log if tid == txid]
     if not hits:
         raise NotObserved(f"txid {txid.hex()[:16]} never announced")
-    return min(hits)[1]
+    return min(hits, key=lambda hit: hit[0])[1]
 
 
 class SimNode(TrrNode):
@@ -346,7 +354,9 @@ class InProcessTransport:
 
     def request(self, ip: int, port: int, packet: bytes, src_addr=None) -> bytes:
         self._world.clock.tick += 1
-        node = self._world.by_addr.get((ip, port))
+        node_id = ip - NODE_IP_BASE
+        node = (self._world.nodes[node_id] if port == NODE_PORT
+                and 0 <= node_id < self._world.cfg.n_nodes else None)
         if node is None or node.behavior == "deny_connection":
             raise NextHopUnreachable(f"no TRR listener at {ip}:{port}")
         if node.behavior == "drop_data":
@@ -358,8 +368,39 @@ class InProcessTransport:
                 f"node {node.descriptor.node_id} closed: {exc}") from exc
 
 
+class _PerNode(Sequence):
+    """One per-node list of a SimWorld, n_nodes long; indexing an entry
+    builds its node first."""
+
+    def __init__(self, build, items: list):
+        self._build = build
+        self._items = items  # None until the node is built
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i: int):
+        item = self._items[i]
+        if item is None:
+            self._build(range(len(self._items))[i])
+            item = self._items[i]
+        return item
+
+
+class _Directory(_PerNode):
+    """The listed descriptors; an entry can be replaced, as a lying
+    directory would."""
+
+    def __setitem__(self, i: int, descriptor: NodeDescriptor) -> None:
+        self[i]  # build the node first so it does not overwrite the entry
+        self._items[i] = descriptor
+
+
 class SimWorld:
-    """Fully wired network of SimNodes for end-to-end runs."""
+    """Fully wired network of SimNodes for end-to-end runs.  nodes and
+    directory are sequences over all n_nodes; a node is built when
+    either is first indexed at it, and built holds those nodes in
+    node-id order."""
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -374,11 +415,23 @@ class SimWorld:
         self.transport = InProcessTransport(self)
         self.attack_ledger = AttackLedger()
         self.client_addr = (0xC0A80001, 9)
-        self.nodes: list[SimNode] = []
-        self.directory: list[NodeDescriptor] = []
-        self.by_addr: dict[tuple, SimNode] = {}
+        # each node's behavior, then its private scalar, then a liar's
+        # listed scalar: the draws keygen would make, without the point
+        self._behaviors: list[str] = []
+        self._scalars: list[int] = []
+        self._listed_scalars: dict[int, int] = {}
         for node_id in range(cfg.n_nodes):
-            self._add_node(node_id)
+            behavior = self._behavior()
+            self._behaviors.append(behavior)
+            self._scalars.append(self.rng.randrange(1, ec_crypto.CURVE_ORDER))
+            if behavior == "wrong_pubkey":  # the directory lies
+                self._listed_scalars[node_id] = self.rng.randrange(
+                    1, ec_crypto.CURVE_ORDER)
+        self._nodes: list[SimNode | None] = [None] * cfg.n_nodes
+        self._listed: list[NodeDescriptor | None] = [None] * cfg.n_nodes
+        self.nodes = _PerNode(self._build, self._nodes)
+        self.directory = _Directory(self._build, self._listed)
+        self.built: list[SimNode] = []
 
     def _behavior(self):
         u = self.rng.random()
@@ -388,21 +441,23 @@ class SimWorld:
             return FAKE_TRR
         return HONEST
 
-    def _add_node(self, node_id: int) -> None:
-        behavior = self._behavior()
-        keypair = keygen(self.rng)
-        ip = 0x0A000001 + node_id  # 10.0.0.1 upward
-        descriptor = NodeDescriptor(node_id=node_id, ip=ip, port=8333,
-                                    pubkey=keypair.public)
+    def _build(self, node_id: int) -> None:
+        k = self._scalars[node_id]
+        keypair = ec_crypto.KeyPair(k, ec_crypto.scalar_mul(k, ec_crypto.G))
+        descriptor = NodeDescriptor(node_id=node_id, ip=NODE_IP_BASE + node_id,
+                                    port=NODE_PORT, pubkey=keypair.public)
         listed = descriptor
-        if behavior == "wrong_pubkey":  # the directory lies
-            listed = replace(descriptor, pubkey=keygen(self.rng).public)
+        if node_id in self._listed_scalars:
+            listed = replace(descriptor, pubkey=ec_crypto.scalar_mul(
+                self._listed_scalars[node_id], ec_crypto.G))
         node = SimNode(keypair, descriptor, self.transport,
                        NodeView(self.broadcast, node_id), self.node_rng,
-                       now=self.now, behavior=behavior, world=self)
-        self.nodes.append(node)
-        self.by_addr[(ip, 8333)] = node
-        self.directory.append(listed)
+                       now=self.now, behavior=self._behaviors[node_id],
+                       world=self)
+        node.height = self.clock.height()
+        self._nodes[node_id] = node
+        self._listed[node_id] = listed
+        bisect.insort(self.built, node, key=lambda n: n.descriptor.node_id)
 
     def send(self, tx: bytes, policy: SendPolicy, rng=None):
         """client_send over this world's transport/view/clock."""
@@ -453,7 +508,7 @@ def run_end_to_end(cfg: SimConfig, tx: bytes,
         report = world.send(tx, policy)
     except GiveUp as exc:
         report = exc.report  # success is False
-    events = [e for node in world.nodes for e in node.events]
+    events = [e for node in world.built for e in node.events]
     release_ticks = [tick for tick, origin, t in world.broadcast.log if t == tid]
     try:
         spreader = sybil_first_spreader(world.broadcast.log, tid)

@@ -1,7 +1,9 @@
 """Command-line surface, file adapters and a live multi-node exchange."""
 
+import os
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -83,6 +85,65 @@ class TestFileAdapters:
         assert not view.seen_in_blockchain_or_mempool(nr.txid(b"tx2"))
         assert view.verify(b"tx1")
         assert not view.verify(b"")
+
+    def test_broadcast_view_waits_for_a_complete_line(self, tmp_path):
+        path = tmp_path / "log"
+        view = FileBroadcastView(str(path))
+        line = f"{nr.txid(b'tx1').hex()} {b'tx1'.hex()}\n"
+        path.write_text(line[:20])  # the writer is mid-line
+        assert not view.seen_in_blockchain_or_mempool(nr.txid(b"tx1"))
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write(line[20:])
+        assert view.seen_in_blockchain_or_mempool(nr.txid(b"tx1"))
+
+    def test_broadcast_view_reads_other_writers(self, tmp_path):
+        path = str(tmp_path / "log")
+        reader, writer = FileBroadcastView(path), FileBroadcastView(path)
+        writer.broadcast(b"tx1")
+        assert reader.seen_in_blockchain_or_mempool(nr.txid(b"tx1"))
+        assert not reader.seen_in_blockchain_or_mempool(nr.txid(b"tx2"))
+        writer.broadcast(b"tx2")
+        assert reader.seen_in_blockchain_or_mempool(nr.txid(b"tx2"))
+        assert reader.seen_in_blockchain_or_mempool(nr.txid(b"tx1"))
+
+    def test_broadcast_view_shared_by_threads(self, tmp_path):
+        # one view read by many threads while others append to its log:
+        # a read racing another must neither skip nor split a line
+        path = str(tmp_path / "log")
+        shared = FileBroadcastView(path)
+        txs = [bytes([i]) * 40 for i in range(1, 241)]
+        missed = []
+
+        def writer(chunk):
+            view = FileBroadcastView(path)
+            for tx in chunk:
+                view.broadcast(tx)
+                if not shared.seen_in_blockchain_or_mempool(nr.txid(tx)):
+                    missed.append(tx)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(txs[i::8],))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert missed == []
+        assert not shared.seen_in_blockchain_or_mempool(nr.txid(b"never"))
+        assert shared._offset == os.path.getsize(path)
+
+    def test_broadcast_view_missing_file(self, tmp_path):
+        path = tmp_path / "absent" / "log"
+        view = FileBroadcastView(str(path))
+        assert not view.seen_in_blockchain_or_mempool(nr.txid(b"tx1"))
+        path.parent.mkdir()
+        FileBroadcastView(str(path)).broadcast(b"tx1")
+        assert view.seen_in_blockchain_or_mempool(nr.txid(b"tx1"))
 
     def test_block_clock(self, tmp_path):
         path = tmp_path / "height"

@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trr import ec_crypto as ec
 from trr import node_runtime as nr
 from trr.analytics import RouteParams, srd_closed_form, srtr_closed_form
 from trr.errors import GiveUp, InvalidConfig, NotObserved
 from trr.node_runtime import SendPolicy
-from trr.onion_routing import MAX_HOPS
+from trr.onion_routing import MAX_HOPS, NodeDescriptor, Route, build_onion
 from trr.simulator import (
+    DISHONEST_MODES,
     FAKE_TRR,
     HONEST,
     SimConfig,
+    SimNode,
     SimWorld,
     estimate_srd,
     estimate_srtr,
@@ -175,7 +178,8 @@ class TestWorldDeterminism:
 
 class TestWorldFootprint:
     def test_build_cost_per_node(self):
-        SimWorld(SimConfig(n_nodes=3, seed=1))  # fills one-time curve caches
+        # one built node fills the one-time curve caches before counting
+        SimWorld(SimConfig(n_nodes=3, seed=1)).nodes[0]
         gc.collect()
         tracemalloc.start()
         try:
@@ -184,7 +188,7 @@ class TestWorldFootprint:
             traced, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert traced / 300 < 2048
+        assert traced / 300 < 512
 
     def test_nodes_share_one_ack_stream_and_their_descriptors(self):
         world = SimWorld(SimConfig(n_nodes=40, dishonest_rate=0.5, seed=12))
@@ -198,6 +202,105 @@ class TestWorldFootprint:
                 assert listed.ip == node.descriptor.ip
             else:
                 assert listed is node.descriptor
+
+
+def eager_reference(cfg):
+    """(behavior, keypair, listed pubkey) per node, drawn as an eager
+    build draws them: the behavior, keygen, and for a wrong_pubkey node
+    a second keygen for its listing, node by node from the world's seed.
+    Also returns the generator, left where the build leaves world.rng."""
+    rng = random.Random(trial_seed(cfg.seed, 0) ^ 0xE2E)
+    nodes = []
+    for _ in range(cfg.n_nodes):
+        u = rng.random()
+        if u < cfg.dishonest_rate:
+            behavior = DISHONEST_MODES[rng.randrange(len(DISHONEST_MODES))]
+        elif u < cfg.dishonest_rate + cfg.fake_rate:
+            behavior = FAKE_TRR
+        else:
+            behavior = HONEST
+        keypair = ec.keygen(rng)
+        listed = (ec.keygen(rng).public if behavior == "wrong_pubkey"
+                  else keypair.public)
+        nodes.append((behavior, keypair, listed))
+    return nodes, rng
+
+
+class TestLazyWorld:
+    def test_nodes_match_an_eager_build(self):
+        cfg = SimConfig(n_nodes=40, dishonest_rate=0.5, fake_rate=0.2, seed=14)
+        world = SimWorld(cfg)
+        expected, rng = eager_reference(cfg)
+        assert world.rng.getstate() == rng.getstate()  # client draws unchanged
+        assert {b for b, _, _ in expected} == {HONEST, FAKE_TRR, *DISHONEST_MODES}
+        order = list(range(cfg.n_nodes))
+        random.Random(3).shuffle(order)  # the build order must not matter
+        for i in order:
+            behavior, keypair, listed = expected[i]
+            node = world.nodes[i]
+            assert node.behavior == behavior
+            assert node.keypair == keypair
+            assert node.descriptor == NodeDescriptor(
+                node_id=i, ip=0x0A000001 + i, port=8333, pubkey=keypair.public)
+            assert world.directory[i].pubkey == listed
+        assert len(world.nodes) == len(world.directory) == cfg.n_nodes
+        assert [n.descriptor.node_id for n in world.built] == list(range(40))
+
+    def test_build_makes_no_scalar_multiplication(self, monkeypatch):
+        calls = []
+        scalar_mul = ec.scalar_mul
+        monkeypatch.setattr(ec, "scalar_mul",
+                            lambda k, pt: calls.append(k) or scalar_mul(k, pt))
+        world = SimWorld(SimConfig(n_nodes=6000, dishonest_rate=0.1,
+                                   fake_rate=0.2, seed=15))
+        assert calls == [] and world.built == []
+        world.nodes[17]
+        assert len(calls) == 1  # touching a node derives its key
+
+    def test_send_builds_only_route_nodes(self):
+        world = SimWorld(SimConfig(n_nodes=200, dishonest_rate=0.7, seed=16))
+        policy = SendPolicy(num_routes=3, hops=3)
+        try:
+            report = world.send(b"lazy tx", policy)
+        except GiveUp as exc:
+            report = exc.report
+        hops = {i for rnd in report.rounds for a in rnd.attempts
+                for i in a.hop_ids}
+        assert report.total_rounds > 1  # a retry round touched more nodes
+        assert {n.descriptor.node_id for n in world.built} == hops
+        assert len(world.built) <= (policy.num_routes * policy.hops
+                                    * report.total_rounds)
+
+    def test_blocks_reach_built_nodes_in_id_order(self, monkeypatch):
+        notified = []
+        monkeypatch.setattr(SimNode, "on_new_block", lambda node, height:
+                            notified.append((node.descriptor.node_id, height)))
+        world = SimWorld(SimConfig(n_nodes=50, seed=17))
+        for i in (30, 4, 17):
+            world.directory[i]
+        world.clock.advance_block()
+        world.nodes[9]
+        world.clock.advance_block()
+        assert notified == [(4, 1), (17, 1), (30, 1),
+                            (4, 2), (9, 2), (17, 2), (30, 2)]
+        assert len(world.built) == 4
+
+    def test_node_built_late_releases_on_time(self):
+        world = SimWorld(SimConfig(n_nodes=50, seed=18))
+        for _ in range(3):
+            world.clock.advance_block()
+        assert world.built == []
+        node = world.nodes[21]
+        assert node.height == 3
+        rng = random.Random(18)
+        tx = b"late node tx"
+        node.serve_request(build_onion(tx, Route((world.directory[21],)), 2,
+                                       ec.keygen_even(rng), 0, rng), (1, 1))
+        assert [p.release_height for p in node.pool] == [5]
+        world.clock.advance_block()
+        assert not world.broadcast.log
+        world.clock.advance_block()
+        assert world.broadcast.log == [(500, 21, nr.txid(tx))]
 
 
 class TestEndToEnd:
@@ -331,9 +434,22 @@ class TestSybilObserver:
         with pytest.raises(NotObserved):
             sybil_first_spreader(world.broadcast.log, b"\x00" * 32)
 
-    def test_tie_broken_by_lowest_id(self):
-        log = [(100, 7, b"t"), (100, 3, b"t"), (90, 9, b"other")]
-        assert sybil_first_spreader(log, b"t") == 3
+    def test_tie_broken_by_log_order(self):
+        log = [(100, 7, b"t"), (100, 3, b"t"), (90, 9, b"other"),
+               (100, "client", b"t")]
+        assert sybil_first_spreader(log, b"t") == 7
+        assert sybil_first_spreader(log[2:] + log[:2], b"t") == "client"
+
+    def test_release_and_client_in_one_tick(self):
+        # the client's naked broadcast lands in the tick of the release
+        world = SimWorld(SimConfig(n_nodes=20, seed=4))
+        tx = b"same tick tx"
+        report = world.send(tx, SendPolicy(num_routes=1, hops=2))
+        world.direct_send(tx)
+        (t1, first, _), (t2, second, _) = world.broadcast.log
+        assert t1 == t2 and second == "client"
+        assert sybil_first_spreader(world.broadcast.log, nr.txid(tx)) \
+            == first == report.rounds[0].attempts[0].hop_ids[-1]
 
 
 class TestPoolInvariant:
