@@ -23,13 +23,18 @@ estimator feeds it node ids, AttackLedger.reconstruct the addresses its
 observer nodes recorded.
 
 Everything is seeded: identical SimConfig values produce bit-identical
-outcomes.  Per-trial seeds come from a splittable counter so trials are
-independent streams.
+outcomes.  An estimator trial reads its own 64-bit words of SHAKE-128
+over the estimator's domain, the seed and the trial index: a
+counter-based stream with no seeding step, so trials are independent
+and trial t draws the same whatever the number of trials.  SimWorld
+seeds its generators from trial_seed, a splittable counter.
 """
 
 import bisect
+import hashlib
 import json
 import random
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -92,11 +97,40 @@ def _splitmix64(x: int) -> int:
 
 
 def trial_seed(master: int, index: int) -> int:
-    """Independent 64-bit stream seed for one trial."""
+    """Independent 64-bit stream seed: SimWorld seeds its client and node
+    generators with it (indexes 0 and 1)."""
     return _splitmix64(_splitmix64(master & 0xFFFFFFFFFFFFFFFF) + index)
 
 
 # -- statistical estimators -------------------------------------------------
+
+def _trial_words(domain: bytes, cfg: SimConfig):
+    """Yield, for each trial t, 2 * hops * num_routes little-endian 64-bit
+    words of SHAKE-128 over domain || seed || t.  The stream is counter
+    based: trial t's words depend on (domain, seed, t) alone, and each
+    estimator's domain keeps its trials apart from the other's.  Route i
+    reads its hop words at [2hi, 2hi + h) and its flag words after them."""
+    count = 2 * cfg.hops * cfg.num_routes
+    unpack = struct.Struct(f"<{count}Q").unpack
+    prefix = domain + (cfg.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    for t in range(cfg.trials):
+        yield unpack(hashlib.shake_128(prefix + t.to_bytes(8, "little"))
+                     .digest(8 * count))
+
+
+def _sample(words, base: int, n: int, h: int) -> list[int]:
+    """Ordered sample of h distinct nodes of range(n) from words[base:base+h]
+    by a virtual Fisher-Yates shuffle: hop j takes position j + w % (n - j)
+    of a permutation whose moved entries live in a dict, so a draw costs
+    O(h) whatever n is.  Its bias is at most n / 2**64."""
+    swap: dict[int, int] = {}
+    route = []
+    for j in range(h):
+        k = j + words[base + j] % (n - j)
+        route.append(swap.get(k, k))
+        swap[k] = swap.get(j, j)
+    return route
+
 
 def estimate_srtr(cfg: SimConfig) -> float:
     """Fraction of trials in which at least one of the round's routes
@@ -104,23 +138,19 @@ def estimate_srtr(cfg: SimConfig) -> float:
     retries).  Fake observer nodes follow the protocol, so only the
     dishonest fraction breaks a route."""
     cfg.validate()
-    d = cfg.dishonest_rate
-    population = range(cfg.n_nodes)
+    n, h = cfg.n_nodes, cfg.hops
+    cut = int(cfg.dishonest_rate * 2.0**64)
     successes = 0
-    for t in range(cfg.trials):
-        rng = random.Random(trial_seed(cfg.seed, t))
+    for words in _trial_words(b"srtr", cfg):
         dishonest: dict[int, bool] = {}
-        for _ in range(cfg.num_routes):
-            route_ok = True
-            for node in rng.sample(population, cfg.hops):
+        for base in range(0, len(words), 2 * h):
+            for j, node in enumerate(_sample(words, base, n, h)):
                 flag = dishonest.get(node)
                 if flag is None:
-                    flag = rng.random() < d
-                    dishonest[node] = flag
+                    flag = dishonest[node] = words[base + h + j] < cut
                 if flag:
-                    route_ok = False
                     break
-            if route_ok:
+            else:
                 successes += 1
                 break
     return successes / cfg.trials
@@ -131,19 +161,18 @@ def estimate_srd(cfg: SimConfig) -> float:
     recovers at least one full route (correct hops, transaction content
     and client address)."""
     cfg.validate()
-    f = cfg.fake_rate
-    population = range(cfg.n_nodes)
-    client_addr = cfg.n_nodes  # outside the node id space
+    n, h = cfg.n_nodes, cfg.hops
+    cut = int(cfg.fake_rate * 2.0**64)
+    client_addr = n  # outside the node id space
     successes = 0
-    for t in range(cfg.trials):
-        rng = random.Random(trial_seed(cfg.seed, t))
+    for words in _trial_words(b"srd", cfg):
         fake: dict[int, bool] = {}
         routes = []
-        for _ in range(cfg.num_routes):
-            route = rng.sample(population, cfg.hops)
-            for node in route:
+        for base in range(0, len(words), 2 * h):
+            route = _sample(words, base, n, h)
+            for j, node in enumerate(route):
                 if node not in fake:
-                    fake[node] = rng.random() < f
+                    fake[node] = words[base + h + j] < cut
             routes.append(route)
         if not any(fake[route[-1]] for route in routes):
             continue  # no observed releasing hop, nothing to stitch

@@ -19,7 +19,7 @@ from trr.onion_routing import (
     return_key_point,
     select_routes,
 )
-from trr.wire_protocol import TrrAck, parse_ipv4
+from trr.wire_protocol import TRR_ACK_LEN, TrrAck, decode_trr_ack, parse_ipv4
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +209,23 @@ class TestAckPath:
         ack = TrrAck(1, 12345, parse_ipv4("10.0.0.9"), 0, 0, b"")
         blob = encrypt_ack(ack, ret.public, rng)
         assert decrypt_ack(blob, ret.private) == ack
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="every block of one cipher is masked by the same "
+                       "point rP, and a success ack's second chunk is all "
+                       "zeros, so the mask and then rpt_ip fall out without "
+                       "the return key (ROADMAP item 2)")
+    def test_success_ack_unreadable_without_return_key(self):
+        rng = random.Random(73)
+        ret = ec.keygen_even(rng)
+        ack = TrrAck(1, 12345, parse_ipv4("10.0.0.9"), 0, 0, b"")
+        blocks = ec.deserialize_cipher(encrypt_ack(ack, ret.public, rng)).blocks
+        assert len(blocks) == 2
+        mask = ec.point_add(blocks[1], ec.point_neg(ec.embed_chunk(b"\0" * 31)))
+        first = ec.chunk_from_point(ec.point_add(blocks[0], ec.point_neg(mask)))
+        # first chunk: 4-byte length prefix, then the ack's first 27 bytes
+        guess = decode_trr_ack((first + bytes(31))[4:4 + TRR_ACK_LEN])
+        assert guess.rpt_ip != ack.rpt_ip
 
     def test_point_reconstruction_from_x(self):
         rng = random.Random(71)

@@ -4,6 +4,8 @@ import gc
 import itertools
 import random
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from trr import ec_crypto as ec
 from trr import node_runtime as nr
+from trr import simulator
 from trr.analytics import RouteParams, srd_closed_form, srtr_closed_form
 from trr.errors import GiveUp, InvalidConfig, NotObserved
 from trr.node_runtime import SendPolicy
@@ -22,6 +25,8 @@ from trr.simulator import (
     SimConfig,
     SimNode,
     SimWorld,
+    _sample,
+    _trial_words,
     estimate_srd,
     estimate_srtr,
     route_pattern_reconstructible,
@@ -70,6 +75,16 @@ class TestEstimators:
                         trials=2_000, seed=1)
         assert estimate_srd(cfg) == 1.0
 
+    def test_srtr_all_dishonest_is_zero(self):
+        cfg = SimConfig(dishonest_rate=1.0, num_routes=3, hops=2,
+                        trials=2_000, seed=1)
+        assert estimate_srtr(cfg) == 0.0
+
+    def test_srd_no_fake_is_zero(self):
+        cfg = SimConfig(fake_rate=0.0, num_routes=3, hops=1,
+                        trials=2_000, seed=1)
+        assert estimate_srd(cfg) == 0.0
+
     def test_srtr_two_route_reference_point(self):
         cfg = SimConfig(dishonest_rate=0.1, num_routes=2, hops=2,
                         trials=100_000, seed=7)
@@ -90,6 +105,72 @@ class TestEstimators:
             cf = srd_closed_form(RouteParams(f=f, h=h, r=r))
             se = (cf * (1 - cf) / cfg.trials) ** 0.5
             assert abs(estimate_srd(cfg) - cf) < 4 * se
+
+
+class TestTrialStream:
+    """The estimators' counter-based words and the sampler reading them."""
+
+    def test_words_do_not_depend_on_trials(self):
+        cfg = SimConfig(num_routes=2, hops=3, trials=5, seed=9)
+        five = list(_trial_words(b"srtr", cfg))
+        assert list(_trial_words(b"srtr", replace(cfg, trials=3))) == five[:3]
+        assert all(len(words) == 2 * 3 * 2 for words in five)
+
+    def test_words_differ_across_trials_and_seeds(self):
+        cfg = SimConfig(num_routes=1, hops=1, trials=1_000, seed=9)
+        words = set(_trial_words(b"srd", cfg))
+        assert len(words) == 1_000
+        assert not words & set(_trial_words(b"srd", replace(cfg, seed=10)))
+
+    def test_estimators_draw_apart(self, monkeypatch):
+        """analytics.sweep hands one config to both estimators; their
+        trials must not share words, or the two columns correlate."""
+        first = []
+        words_of = simulator._trial_words
+
+        def recording(domain, cfg):
+            for t, words in enumerate(words_of(domain, cfg)):
+                if t == 0:
+                    first.append(words)
+                yield words
+
+        monkeypatch.setattr(simulator, "_trial_words", recording)
+        cfg = SimConfig(dishonest_rate=0.2, fake_rate=0.2, trials=10, seed=4)
+        estimate_srtr(cfg)
+        estimate_srd(cfg)
+        assert len(first) == 2 and first[0] != first[1]
+
+    @pytest.mark.parametrize("offset, srtr, srd", [(0, 1.0, 0.0),
+                                                   (-1, 0.0, 1.0)])
+    def test_flag_is_a_word_below_the_cut(self, monkeypatch, offset, srtr, srd):
+        cut = int(0.5 * 2.0**64)
+
+        def constant(domain, cfg):
+            for _ in range(cfg.trials):
+                yield (cut + offset,) * (2 * cfg.hops * cfg.num_routes)
+
+        monkeypatch.setattr(simulator, "_trial_words", constant)
+        assert estimate_srtr(SimConfig(dishonest_rate=0.5, trials=3)) == srtr
+        assert estimate_srd(SimConfig(fake_rate=0.5, trials=3)) == srd
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.integers(1, 10), data=st.data())
+    def test_sample_draws_distinct_nodes(self, h, data):
+        n = data.draw(st.integers(h, 2**40))
+        words = data.draw(st.lists(st.integers(0, 2**64 - 1),
+                                   min_size=h, max_size=h))
+        route = _sample(words, 0, n, h)
+        assert len(set(route)) == h
+        assert all(0 <= node < n for node in route)
+
+    def test_sample_uniform_over_ordered_pairs(self):
+        cfg = SimConfig(n_nodes=5, num_routes=1, hops=2, trials=20_000, seed=11)
+        counts = Counter(tuple(_sample(words, 0, 5, 2))
+                         for words in _trial_words(b"srtr", cfg))
+        assert len(counts) == 20 and all(a != b for a, b in counts)
+        expected = cfg.trials / 20
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 43.82  # chi-square, 19 degrees of freedom, p = 0.001
 
 
 def observer_records(routes, observed, client):
