@@ -24,10 +24,11 @@ observer nodes recorded.
 
 Everything is seeded: identical SimConfig values produce bit-identical
 outcomes.  An estimator trial reads its own 64-bit words of SHAKE-128
-over the estimator's domain, the seed and the trial index: a
-counter-based stream with no seeding step, so trials are independent
-and trial t draws the same whatever the number of trials.  SimWorld
-seeds its generators from trial_seed, a splittable counter.
+over the seed and the trial index, prefixed with b"srtr" for SRTR: a
+counter-based stream with no seeding step, so trials are independent,
+trial t draws the same whatever the number of trials, and the two
+estimators never share words.  SimWorld seeds its generators from
+trial_seed, a splittable counter.
 """
 
 import bisect
@@ -107,9 +108,10 @@ def trial_seed(master: int, index: int) -> int:
 def _trial_words(domain: bytes, cfg: SimConfig):
     """Yield, for each trial t, 2 * hops * num_routes little-endian 64-bit
     words of SHAKE-128 over domain || seed || t.  The stream is counter
-    based: trial t's words depend on (domain, seed, t) alone, and each
-    estimator's domain keeps its trials apart from the other's.  Route i
-    reads its hop words at [2hi, 2hi + h) and its flag words after them."""
+    based: trial t's words depend on (domain, seed, t) alone.  SRTR's
+    domain is b"srtr" and SRD's is empty, so their inputs differ in length
+    and the two estimators never read the same words.  Route i reads its
+    hop words at [2hi, 2hi + h) and its flag words after them."""
     count = 2 * cfg.hops * cfg.num_routes
     unpack = struct.Struct(f"<{count}Q").unpack
     prefix = domain + (cfg.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
@@ -165,7 +167,7 @@ def estimate_srd(cfg: SimConfig) -> float:
     cut = int(cfg.fake_rate * 2.0**64)
     client_addr = n  # outside the node id space
     successes = 0
-    for words in _trial_words(b"srd", cfg):
+    for words in _trial_words(b"", cfg):
         fake: dict[int, bool] = {}
         routes = []
         for base in range(0, len(words), 2 * h):
