@@ -23,12 +23,12 @@ estimator feeds it node ids, AttackLedger.reconstruct the addresses its
 observer nodes recorded.
 
 Everything is seeded: identical SimConfig values produce bit-identical
-outcomes.  An estimator trial reads its own 64-bit words of SHAKE-128
-over the seed and the trial index, prefixed with b"srtr" for SRTR: a
-counter-based stream with no seeding step, so trials are independent,
-trial t draws the same whatever the number of trials, and the two
-estimators never share words.  SimWorld seeds its generators from
-trial_seed, a splittable counter.
+outcomes.  An estimate_srtr trial reads its own 64-bit words of
+SHAKE-128 over b"srtr", the seed and the trial index: a counter-based
+stream with no seeding step, so trials are independent and trial t
+draws the same whatever the number of trials.  estimate_srd seeds a
+generator per trial, and SimWorld its two generators, from trial_seed,
+a splittable counter.
 """
 
 import bisect
@@ -98,23 +98,23 @@ def _splitmix64(x: int) -> int:
 
 
 def trial_seed(master: int, index: int) -> int:
-    """Independent 64-bit stream seed: SimWorld seeds its client and node
-    generators with it (indexes 0 and 1)."""
+    """Independent 64-bit stream seed: estimate_srd seeds trial t's
+    generator with index t, SimWorld its client and node generators with
+    indexes 0 and 1."""
     return _splitmix64(_splitmix64(master & 0xFFFFFFFFFFFFFFFF) + index)
 
 
 # -- statistical estimators -------------------------------------------------
 
-def _trial_words(domain: bytes, cfg: SimConfig):
-    """Yield, for each trial t, 2 * hops * num_routes little-endian 64-bit
-    words of SHAKE-128 over domain || seed || t.  The stream is counter
-    based: trial t's words depend on (domain, seed, t) alone.  SRTR's
-    domain is b"srtr" and SRD's is empty, so their inputs differ in length
-    and the two estimators never read the same words.  Route i reads its
-    hop words at [2hi, 2hi + h) and its flag words after them."""
+def _trial_words(cfg: SimConfig):
+    """Yield, for each trial t of estimate_srtr, 2 * hops * num_routes
+    little-endian 64-bit words of SHAKE-128 over b"srtr" || seed || t.
+    The stream is counter based: trial t's words depend on (seed, t) alone.
+    Route i reads its hop words at [2hi, 2hi + h) and its flag words after
+    them."""
     count = 2 * cfg.hops * cfg.num_routes
     unpack = struct.Struct(f"<{count}Q").unpack
-    prefix = domain + (cfg.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    prefix = b"srtr" + (cfg.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     for t in range(cfg.trials):
         yield unpack(hashlib.shake_128(prefix + t.to_bytes(8, "little"))
                      .digest(8 * count))
@@ -143,7 +143,7 @@ def estimate_srtr(cfg: SimConfig) -> float:
     n, h = cfg.n_nodes, cfg.hops
     cut = int(cfg.dishonest_rate * 2.0**64)
     successes = 0
-    for words in _trial_words(b"srtr", cfg):
+    for words in _trial_words(cfg):
         dishonest: dict[int, bool] = {}
         for base in range(0, len(words), 2 * h):
             for j, node in enumerate(_sample(words, base, n, h)):
@@ -163,18 +163,19 @@ def estimate_srd(cfg: SimConfig) -> float:
     recovers at least one full route (correct hops, transaction content
     and client address)."""
     cfg.validate()
-    n, h = cfg.n_nodes, cfg.hops
-    cut = int(cfg.fake_rate * 2.0**64)
-    client_addr = n  # outside the node id space
+    f = cfg.fake_rate
+    population = range(cfg.n_nodes)
+    client_addr = cfg.n_nodes  # outside the node id space
     successes = 0
-    for words in _trial_words(b"", cfg):
+    for t in range(cfg.trials):
+        rng = random.Random(trial_seed(cfg.seed, t))
         fake: dict[int, bool] = {}
         routes = []
-        for base in range(0, len(words), 2 * h):
-            route = _sample(words, base, n, h)
-            for j, node in enumerate(route):
+        for _ in range(cfg.num_routes):
+            route = rng.sample(population, cfg.hops)
+            for node in route:
                 if node not in fake:
-                    fake[node] = words[base + h + j] < cut
+                    fake[node] = rng.random() < f
             routes.append(route)
         if not any(fake[route[-1]] for route in routes):
             continue  # no observed releasing hop, nothing to stitch
