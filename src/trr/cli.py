@@ -136,7 +136,7 @@ def _load_keypair(prefix: str) -> ec_crypto.KeyPair:
 
 def cmd_keygen(args) -> int:
     rng = random.SystemRandom()
-    kp = ec_crypto.keygen_even(rng) if args.even else ec_crypto.keygen(rng)
+    kp = ec_crypto.keygen(rng)
     pub = ec_crypto.point_to_bytes(kp.public)
     with open(args.out + ".key", "wb") as fh:
         fh.write(ec_crypto.private_to_bytes(kp.private))
@@ -285,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a keypair")
     p.add_argument("--out", required=True, help="path prefix for .key/.pub")
-    p.add_argument("--even", action="store_true",
-                   help="force even-parity public key (return keys)")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("simulate", help="closed form vs Monte Carlo rates")

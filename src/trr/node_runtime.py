@@ -33,6 +33,7 @@ from .errors import (
     SizeMismatch,
     TrrError,
     TrrTimeout,
+    WireError,
 )
 from .onion_routing import (
     Forward,
@@ -47,14 +48,13 @@ from .onion_routing import (
 )
 from .wire_protocol import (
     FRAME_HEADER_LEN,
-    MAX_FRAME_PAYLOAD,
     MAX_TX_SIZE,
     TrrAck,
     dsha256,
     format_ipv4,
-    frame_declared_length,
     frame_message,
     parse_frame,
+    parse_frame_header,
     parse_ipv4,
 )
 
@@ -283,11 +283,13 @@ class FrameSocket:
             raise PeerClosed(f"send failed: {exc}") from exc
 
     def recv_frame(self) -> tuple[str, bytes]:
+        """Next frame from the peer; NotTrr when it is malformed."""
         header = self._recv_exact(FRAME_HEADER_LEN)
-        length = frame_declared_length(header)
-        if length > MAX_FRAME_PAYLOAD:
-            raise PeerClosed(f"frame of {length} bytes exceeds read cap")
-        return parse_frame(header + self._recv_exact(length))
+        try:
+            length = parse_frame_header(header)[1]
+            return parse_frame(header + self._recv_exact(length))
+        except WireError as exc:
+            raise NotTrr(f"malformed frame: {exc}") from exc
 
     def _recv_exact(self, n: int) -> bytes:
         buf = bytearray()

@@ -19,8 +19,8 @@ Two layers of fidelity:
   nodes a run actually uses; blocks reach only the nodes already built.
 
 Both layers recover routes with the same walk, stitch_chains: the
-estimator feeds it node ids, AttackLedger.reconstruct the addresses its
-observer nodes recorded.
+estimator feeds it node-id records, AttackLedger.reconstruct its
+entries, the address records its observer nodes wrote.
 
 Everything is seeded: identical SimConfig values produce bit-identical
 outcomes.  An estimate_srtr trial reads its own 64-bit words of
@@ -39,6 +39,7 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from typing import NamedTuple
 
 from . import ec_crypto, node_runtime
 from .errors import (
@@ -193,7 +194,7 @@ def estimate_srd(cfg: SimConfig) -> float:
 def stitch_chains(records, client_addr):
     """Attacker reconstruction by chain-stitching observer records.
 
-    records are (previous address, own address, next address) triples,
+    records start with (previous address, own address, next address),
     the next address None at the releasing hop.  For every releasing
     record, yields its index and a lazy iterator over the address chains
     (first hop to releasing hop) that walk back from it to client_addr.
@@ -311,27 +312,25 @@ def sybil_first_spreader(log, txid: bytes):
 
 
 class SimNode(TrrNode):
-    """TrrNode plus a behavior label; observer nodes feed the ledger."""
+    """TrrNode plus a behavior label; an observer node appends one
+    stitch_chains record per request it serves to the ledger."""
 
-    def __init__(self, *args, behavior=HONEST, world=None, **kwargs):
+    def __init__(self, *args, behavior=HONEST, ledger=None, **kwargs):
         super().__init__(*args, **kwargs)
         self.behavior = behavior
-        self.world = world
+        self.ledger = ledger
 
     def _observe_request(self, src_addr, peeled) -> None:
         if self.behavior != FAKE_TRR:
             return
-        me = self.descriptor
+        own = (self.descriptor.ip, self.descriptor.port)
         if isinstance(peeled, Forward):
-            entry = LedgerEntry(node_id=me.node_id, self_addr=(me.ip, me.port),
-                                prev_addr=src_addr,
-                                next_addr=(peeled.next_ip, peeled.next_port))
+            record = Observation(src_addr, own,
+                                 (peeled.next_ip, peeled.next_port))
         else:
-            entry = LedgerEntry(node_id=me.node_id, self_addr=(me.ip, me.port),
-                                prev_addr=src_addr, next_addr=None,
-                                tx=peeled.trr_data.tx,
-                                txid=node_runtime.txid(peeled.trr_data.tx))
-        self.world.attack_ledger.entries.append(entry)
+            record = Observation(src_addr, own, None,
+                                 node_runtime.txid(peeled.trr_data.tx))
+        self.ledger.entries.append(record)
 
     def _handle_release(self, rel: Release) -> bytes:
         if self.behavior == "no_release":
@@ -343,19 +342,22 @@ class SimNode(TrrNode):
         return super()._handle_release(rel)
 
 
-@dataclass
-class LedgerEntry:
-    node_id: object
-    self_addr: tuple
+class Observation(NamedTuple):
+    """One request seen by an observer node, as the stitch_chains record
+    (previous, own, next address) plus the txid at the releasing hop."""
+
     prev_addr: tuple
+    own_addr: tuple
     next_addr: tuple | None  # None at the releasing hop
-    tx: bytes | None = None
     txid: bytes | None = None
 
 
 @dataclass
 class AttackLedger:
-    entries: list[LedgerEntry] = field(default_factory=list)
+    """Everything the observer nodes saw: entries are stitch_chains
+    records, pooled across requests in arrival order."""
+
+    entries: list[Observation] = field(default_factory=list)
 
     def reconstruct(self, client_addr):
         """Stitch full chains from releasing observations back to the
@@ -364,10 +366,9 @@ class AttackLedger:
         observation.  Chains that mix requests simply fail the caller's
         comparison with real routes.
         """
-        records = [(e.prev_addr, e.self_addr, e.next_addr) for e in self.entries]
         recovered = []
         seen = set()
-        for i, chains in stitch_chains(records, client_addr):
+        for i, chains in stitch_chains(self.entries, client_addr):
             txid = self.entries[i].txid
             for chain in islice(chains, MAX_CHAINS_PER_RELEASE):
                 key = (tuple(chain), txid)
@@ -485,7 +486,7 @@ class SimWorld:
         node = SimNode(keypair, descriptor, self.transport,
                        NodeView(self.broadcast, node_id), self.node_rng,
                        now=self.now, behavior=self._behaviors[node_id],
-                       world=self)
+                       ledger=self.attack_ledger)
         node.height = self.clock.height()
         self._nodes[node_id] = node
         self._listed[node_id] = listed
@@ -509,7 +510,6 @@ class SimWorld:
 class TraceReport:
     """Everything observable about one end-to-end send."""
 
-    config: SimConfig
     txid_hex: str
     success: bool
     rounds: int
@@ -532,7 +532,6 @@ class TraceReport:
 def run_end_to_end(cfg: SimConfig, tx: bytes,
                    policy: SendPolicy | None = None) -> TraceReport:
     """One full send over a freshly built world."""
-    cfg.validate()
     world = SimWorld(cfg)
     policy = policy or SendPolicy(num_routes=cfg.num_routes, hops=cfg.hops)
     tid = node_runtime.txid(tx)
@@ -547,7 +546,7 @@ def run_end_to_end(cfg: SimConfig, tx: bytes,
     except NotObserved:
         spreader = None
     return TraceReport(
-        config=cfg, txid_hex=tid.hex(), success=report.success,
+        txid_hex=tid.hex(), success=report.success,
         rounds=report.total_rounds,
         route_ids=[a.hop_ids for rnd in report.rounds for a in rnd.attempts],
         node_events=events, release_ticks=release_ticks,

@@ -29,7 +29,7 @@ from .errors import (
 MAGIC = b"TRR1"
 COMMANDS = ("vertrr", "trr", "track")
 FRAME_HEADER_LEN = 24
-MAX_FRAME_PAYLOAD = 1 << 20  # read cap for socket streams
+MAX_FRAME_PAYLOAD = 1 << 20  # largest payload a frame header may declare
 
 MAX_TX_SIZE = 10240
 MIN_RELEASE_DELAY = 1
@@ -45,6 +45,7 @@ _DATA_HDR = struct.Struct("<BIQH")
 _ROUTING_HDR = struct.Struct("<B32sIHH")
 _ACK = struct.Struct("<BIIIH30s")
 _FRAME_HDR = struct.Struct("<4s12sI4s")
+_COMMAND_FIELDS = {c.encode("ascii").ljust(12, b"\x00"): c for c in COMMANDS}
 
 
 def dsha256(payload: bytes) -> bytes:
@@ -199,27 +200,23 @@ def frame_message(command: str, payload: bytes) -> bytes:
                            dsha256(payload)[:4]) + payload
 
 
-def frame_declared_length(header: bytes) -> int:
-    """Payload length promised by a 24-byte frame header (for stream
-    readers that must size their next read)."""
-    if len(header) < FRAME_HEADER_LEN:
-        raise Truncated(f"frame header needs {FRAME_HEADER_LEN} bytes")
-    return _FRAME_HDR.unpack_from(header)[2]
-
-
-def parse_frame(raw: bytes) -> tuple[str, bytes]:
+def parse_frame_header(raw: bytes) -> tuple[str, int, bytes]:
+    """Command, payload length and checksum of a frame, read from its
+    header alone, so a stream reader can reject it before the payload."""
     if len(raw) < FRAME_HEADER_LEN:
         raise Truncated(f"frame header needs {FRAME_HEADER_LEN} bytes")
     magic, cmd_field, length, checksum = _FRAME_HDR.unpack_from(raw)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
-    command = cmd_field.rstrip(b"\x00")
-    try:
-        command_str = command.decode("ascii")
-    except UnicodeDecodeError:
-        raise UnknownCommand(f"undecodable command field {cmd_field!r}") from None
-    if command_str not in COMMANDS or cmd_field != command.ljust(12, b"\x00"):
-        raise UnknownCommand(f"unknown command {command_str!r}")
+    if cmd_field not in _COMMAND_FIELDS:
+        raise UnknownCommand(f"unknown command field {cmd_field!r}")
+    if length > MAX_FRAME_PAYLOAD:
+        raise PayloadTooLarge(f"frame of {length} bytes exceeds read cap")
+    return _COMMAND_FIELDS[cmd_field], length, checksum
+
+
+def parse_frame(raw: bytes) -> tuple[str, bytes]:
+    command, length, checksum = parse_frame_header(raw)
     if len(raw) < FRAME_HEADER_LEN + length:
         raise Truncated("frame payload bytes missing")
     if len(raw) > FRAME_HEADER_LEN + length:
@@ -227,4 +224,4 @@ def parse_frame(raw: bytes) -> tuple[str, bytes]:
     payload = raw[FRAME_HEADER_LEN:]
     if dsha256(payload)[:4] != checksum:
         raise BadChecksum("frame checksum mismatch")
-    return command_str, payload
+    return command, payload

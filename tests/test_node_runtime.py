@@ -1,19 +1,29 @@
 """Node request handling, release pool semantics and the client loop."""
 
+import contextlib
 import random
 import socket
 import threading
+import time
 
 import pytest
 
 from trr import ec_crypto as ec
 from trr import node_runtime as nr
-from trr.errors import GiveUp, PeerClosed, SizeMismatch, TrrTimeout
+from trr.errors import (
+    BadMagic,
+    GiveUp,
+    NotTrr,
+    PeerClosed,
+    SizeMismatch,
+    TrrTimeout,
+)
 from trr.onion_routing import NodeDescriptor, Route, build_onion, decrypt_ack
 from trr.simulator import BLOCK_INTERVAL_TICKS, SimConfig, SimWorld
-from trr.wire_protocol import parse_ipv4
+from trr.wire_protocol import MAX_FRAME_PAYLOAD, frame_message, parse_ipv4
 
 CLIENT_ADDR = (parse_ipv4("192.168.0.1"), 9)
+LOOPBACK = parse_ipv4("127.0.0.1")
 
 
 @pytest.fixture
@@ -278,31 +288,94 @@ class TestFrameSocket:
             left.recv_frame()
         left.close()
 
+    def test_bad_header_rejected_before_payload(self):
+        # a 24-byte header with bad magic that declares a full 1 MiB payload
+        a, b = socket.socketpair()
+        left = nr.FrameSocket(a, 2.0)
+        header = bytearray(frame_message("trr", b""))
+        header[:4] = b"XRR1"
+        header[16:20] = MAX_FRAME_PAYLOAD.to_bytes(4, "little")
+        b.sendall(header)
+        start = time.monotonic()
+        with pytest.raises(NotTrr) as exc_info:
+            left.recv_frame()
+        assert time.monotonic() - start < 1.0
+        assert isinstance(exc_info.value.__cause__, BadMagic)
+        left.close(), b.close()
+
     def test_request_over_tcp_server(self, world):
         node = world.nodes[0]
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        stop = threading.Event()
-        server = threading.Thread(
-            target=nr.run_node_server, args=(node, "127.0.0.1", port),
-            kwargs={"timeout": 2.0, "stop_event": stop}, daemon=True)
-        server.start()
-        try:
+        with node_server(node) as (port, server):
             onion, ret = make_onion(world, [0], b"tcp tx")
-            transport = nr.TcpTransport(timeout=2.0)
-            deadline = 50
-            while deadline:
-                try:
-                    raw = transport.request(parse_ipv4("127.0.0.1"), port, onion)
-                    break
-                except Exception:
-                    deadline -= 1
-                    threading.Event().wait(0.05)
+            raw = nr.TcpTransport(timeout=2.0).request(LOOPBACK, port, onion)
             ack = decrypt_ack(raw, ret.private)
             assert ack.errno == nr.ERR_OK
             assert [p.tx for p in node.pool] == [b"tcp tx"]
             assert server.is_alive()  # this server answered, not another one
-        finally:
-            stop.set()
-            server.join(timeout=3)
+
+    def test_malformed_reply_blames_next_hop(self):
+        """A next hop that answers with a corrupted frame is reported in
+        the relay's own ack, not blamed on the relay by a dropped
+        connection."""
+        rng = random.Random(23)
+        next_ip = parse_ipv4("127.0.0.2")
+        with socket.create_server(("127.0.0.2", 0)) as listener:
+            replier = threading.Thread(target=reply_with_bad_checksum,
+                                       args=(listener,), daemon=True)
+            replier.start()
+            kp = ec.keygen(rng)
+            me = NodeDescriptor(0, LOOPBACK, 0, kp.public)
+            successor = NodeDescriptor(1, next_ip, listener.getsockname()[1],
+                                       ec.keygen(rng).public)
+            node = nr.TrrNode(kp, me, nr.TcpTransport(timeout=2.0), None, rng)
+            ret = ec.keygen_even(rng)
+            onion = build_onion(b"tx", Route((me, successor)), 1, ret, 0, rng)
+            with node_server(node) as (port, _):
+                raw = nr.TcpTransport(timeout=2.0).request(LOOPBACK, port, onion)
+            replier.join(timeout=3)
+        assert not replier.is_alive()
+        ack = decrypt_ack(raw, ret.private)
+        assert ack.errno == nr.ERR_NOT_TRR
+        assert (ack.rpt_ip, ack.err_ip) == (LOOPBACK, next_ip)
+        assert ack.errmsg == b"NotTrr"
+
+
+@contextlib.contextmanager
+def node_server(node):
+    """Serve node with run_node_server on a free loopback port; yields
+    the port and the server thread once it accepts connections."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    stop = threading.Event()
+    server = threading.Thread(
+        target=nr.run_node_server, args=(node, "127.0.0.1", port),
+        kwargs={"timeout": 2.0, "stop_event": stop}, daemon=True)
+    server.start()
+    try:
+        for _ in range(50):
+            try:
+                socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                break
+            except OSError:
+                time.sleep(0.05)
+        yield port, server
+    finally:
+        stop.set()
+        server.join(timeout=3)
+
+
+def reply_with_bad_checksum(listener) -> None:
+    """Play a next hop that completes the handshake, reads the request
+    and answers with a track frame whose checksum is wrong."""
+    sock, _ = listener.accept()
+    conn = nr.FrameSocket(sock, 2.0)
+    try:
+        assert conn.recv_frame()[0] == "vertrr"
+        conn.send_frame("vertrr", b"")
+        assert conn.recv_frame()[0] == "trr"
+        reply = bytearray(frame_message("track", bytes(103)))
+        reply[20] ^= 0xFF  # first checksum byte
+        sock.sendall(reply)
+    finally:
+        conn.close()

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import struct
 
 import pytest
 
@@ -19,7 +20,13 @@ from trr.onion_routing import (
     return_key_point,
     select_routes,
 )
-from trr.wire_protocol import TRR_ACK_LEN, TrrAck, decode_trr_ack, parse_ipv4
+from trr.wire_protocol import (
+    TRR_ACK_LEN,
+    TRR_ROUTING_HEADER_LEN,
+    TrrAck,
+    decode_trr_ack,
+    parse_ipv4,
+)
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +233,33 @@ class TestAckPath:
         # first chunk: 4-byte length prefix, then the ack's first 27 bytes
         guess = decode_trr_ack((first + bytes(31))[4:4 + TRR_ACK_LEN])
         assert guess.rpt_ip != ack.rpt_ip
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="every block of one layer is masked by the same "
+                       "point rP, and a first hop knows the next layer's first "
+                       "chunk, so it unmasks the next routing header without "
+                       "that hop's key (ROADMAP item 2)")
+    def test_next_layer_unreadable_by_first_hop(self, keypool, directory):
+        rng = random.Random(89)
+        ret = ec.keygen_even(rng)
+        packet = build_onion(b"tx bytes", Route(tuple(directory[:3])), 1, ret,
+                             now=0, rng=rng)
+        peeled = peel_layer(packet, keypool[0].private)  # its own layer only
+        blocks = ec.deserialize_cipher(peeled.remaining).blocks
+        key = peeled.return_pubkey
+        # the next layer opens with its 4-byte length, version 1 and the
+        # return key; the block count leaves 31 candidate lengths
+        read = []
+        for length in range(31 * len(blocks) - 34, 31 * len(blocks) - 3):
+            first = length.to_bytes(4, "little") + b"\x01" + key[:26]
+            mask = ec.point_add(blocks[0], ec.point_neg(ec.embed_chunk(first)))
+            second = ec.chunk_from_point(
+                ec.point_add(blocks[1], ec.point_neg(mask)))
+            if second[:6] == key[26:]:  # the rest of the return key
+                dst_ip, port, size = struct.unpack_from("<IHH", second, 6)
+                read.append((dst_ip, port,
+                             TRR_ROUTING_HEADER_LEN + size == length))
+        assert (directory[2].ip, directory[2].port, True) not in read
 
     def test_point_reconstruction_from_x(self):
         rng = random.Random(71)

@@ -442,10 +442,10 @@ class TestFakeNodesAttack:
         world = SimWorld(SimConfig(n_nodes=30, fake_rate=0.4, seed=31))
         for i in range(5):
             world.send(bytes([i]) * 20, SendPolicy(num_routes=2, hops=3))
-        fake_ids = {n.descriptor.node_id for n in world.nodes
-                    if n.behavior == FAKE_TRR}
+        fake_addrs = {(n.descriptor.ip, n.descriptor.port) for n in world.nodes
+                      if n.behavior == FAKE_TRR}
         assert world.attack_ledger.entries
-        assert {e.node_id for e in world.attack_ledger.entries} <= fake_ids
+        assert {e.own_addr for e in world.attack_ledger.entries} <= fake_addrs
 
     def test_reconstruction_matches_predicate(self):
         world = SimWorld(SimConfig(n_nodes=30, fake_rate=0.5, seed=33))
@@ -479,9 +479,10 @@ class TestFakeNodesAttack:
                                                        delays=(1, 1)))
         # a single entry holding both the client address and content
         # would break anonymity without any stitching at all
-        for e in world.attack_ledger.entries:
-            if e.prev_addr == world.client_addr:
-                assert e.txid is None
+        first_hops = [e for e in world.attack_ledger.entries
+                      if e.prev_addr == world.client_addr]
+        assert first_hops
+        assert all(e.txid is None for e in first_hops)
 
 
 class TestSybilObserver:

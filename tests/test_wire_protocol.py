@@ -233,7 +233,13 @@ class TestFraming:
 
     def test_declared_length_helper(self):
         raw = wp.frame_message("trr", bytes(17))
-        assert wp.frame_declared_length(raw[:24]) == 17
+        assert wp.parse_frame_header(raw[:24]) == ("trr", 17, raw[20:24])
+        oversized = bytearray(raw[:24])
+        oversized[16:20] = (wp.MAX_FRAME_PAYLOAD + 1).to_bytes(4, "little")
+        with pytest.raises(PayloadTooLarge):
+            wp.parse_frame_header(bytes(oversized))
+        with pytest.raises(BadMagic):
+            wp.parse_frame_header(b"XRR1" + raw[4:24])
 
 
 class TestIpv4Helpers:
