@@ -76,10 +76,8 @@ class FileBroadcastView:
 class FileBlockClock:
     """Block height read from a single-integer file; waiting polls."""
 
-    def __init__(self, path: str, poll_interval: float = 0.2,
-                 timeout: float = 60.0):
+    def __init__(self, path: str, timeout: float = 60.0):
         self.path = path
-        self.poll_interval = poll_interval
         self.timeout = timeout
 
     def height(self) -> int:
@@ -94,7 +92,7 @@ class FileBlockClock:
         while self.height() < height:
             if time.monotonic() > deadline:
                 return  # callers re-check the broadcast view anyway
-            time.sleep(self.poll_interval)
+            time.sleep(node_runtime.POLL_INTERVAL_S)
 
 
 # -- directory files --------------------------------------------------------

@@ -12,6 +12,11 @@ unseen transactions trigger a fresh round of routes.
 
 Transport, broadcast view and block clock are injected adapters, so the
 same logic runs over real TCP sockets and the in-process simulator.
+
+A node keeps no record of the requests it served: TrrNode.events counts
+each event kind and holds no address and no txid.  The full record of
+an event (forwarded next hop, released txid, ...) exists only as a JSON
+line on the "trr.node" logger at DEBUG level.
 """
 
 import json
@@ -19,6 +24,7 @@ import logging
 import socket
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -77,6 +83,7 @@ _ERRNO_FOR = {
 
 POOL_CAPACITY = 1000
 DEFAULT_TIMEOUT = 30.0
+POLL_INTERVAL_S = 0.2  # how often a node or a client re-reads a block clock
 
 
 def txid(tx: bytes) -> bytes:
@@ -130,13 +137,13 @@ class TrrNode:
         self.height = 0
         self.pool: list[PendingRelease] = []
         self.now = now or (lambda: int(time.time()))
-        self.events: list[dict] = []
+        self.events: Counter[str] = Counter()  # occurrences per event kind
         self._lock = threading.Lock()
 
     def _log(self, event: str, **fields) -> None:
-        record = {"event": event, "node": self.descriptor.node_id, **fields}
-        self.events.append(record)
+        self.events[event] += 1
         if logger.isEnabledFor(logging.DEBUG):
+            record = {"event": event, "node": self.descriptor.node_id, **fields}
             logger.debug(json.dumps(record, default=repr))
 
     def _observe_request(self, src_addr, peeled) -> None:
@@ -357,8 +364,7 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
 
 def serve_node(node: TrrNode, host: str, port: int, clock, *,
                timeout: float = DEFAULT_TIMEOUT,
-               stop_event: threading.Event,
-               poll_interval: float = 0.2) -> None:
+               stop_event: threading.Event) -> None:
     """Serve TCP connections while following an external block clock."""
     server = threading.Thread(
         target=run_node_server, args=(node, host, port),
@@ -368,7 +374,7 @@ def serve_node(node: TrrNode, host: str, port: int, clock, *,
         height = clock.height()
         if height > node.height:
             node.on_new_block(height)
-        time.sleep(poll_interval)
+        time.sleep(POLL_INTERVAL_S)
     server.join(timeout=2)
 
 
@@ -418,11 +424,12 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
     release delay, and retry with new routes until the transaction is
     observed in the broadcast view.
 
-    Raises GiveUp (carrying the report) after policy.retry_rounds
-    unsuccessful rounds.
+    Raises SizeMismatch before any route is drawn when tx is empty or
+    longer than MAX_TX_SIZE, and GiveUp (carrying the report) after
+    policy.retry_rounds unsuccessful rounds.
     """
-    if len(tx) > MAX_TX_SIZE:
-        raise SizeMismatch(f"tx of {len(tx)} bytes exceeds {MAX_TX_SIZE}")
+    if not 0 < len(tx) <= MAX_TX_SIZE:  # no node would verify it
+        raise SizeMismatch(f"tx of {len(tx)} bytes, not 1..{MAX_TX_SIZE}")
     now = now or (lambda: int(time.time()))
     tid = txid(tx)
     rounds: list[SendRound] = []

@@ -12,11 +12,13 @@ Two layers of fidelity:
 
 * SimWorld + run_end_to_end build real nodes with real keypairs wired
   through an in-process transport, a tick-based block clock, a Sybil
-  observer logging every broadcast, and an attack ledger filled by
-  observer (fake) nodes.  The world draws every node's behavior and
-  private scalar up front but builds a node (public key, descriptors,
-  SimNode) only when it is first touched, so build cost follows the
-  nodes a run actually uses; blocks reach only the nodes already built.
+  observer logging every broadcast, an attack ledger filled by
+  observer (fake) nodes, and one trace of every node event stamped with
+  its tick, in the order the events happened.  The world draws every
+  node's behavior and private scalar up front but builds a node (public
+  key, descriptors, SimNode) only when it is first touched, so build
+  cost follows the nodes a run actually uses; blocks reach only the
+  nodes already built.
 
 Both layers recover routes with the same walk, stitch_chains: the
 estimator feeds it node-id records, AttackLedger.reconstruct its
@@ -313,12 +315,19 @@ def sybil_first_spreader(log, txid: bytes):
 
 class SimNode(TrrNode):
     """TrrNode plus a behavior label; an observer node appends one
-    stitch_chains record per request it serves to the ledger."""
+    stitch_chains record per request it serves to the ledger, and every
+    node appends each event, tick-stamped, to the world's trace."""
 
-    def __init__(self, *args, behavior=HONEST, ledger=None, **kwargs):
+    def __init__(self, *args, behavior, ledger, trace, **kwargs):
         super().__init__(*args, **kwargs)
         self.behavior = behavior
         self.ledger = ledger
+        self.trace = trace
+
+    def _log(self, event: str, **fields) -> None:
+        super()._log(event, **fields)
+        self.trace.append({"tick": self.now(), "event": event,
+                           "node": self.descriptor.node_id, **fields})
 
     def _observe_request(self, src_addr, peeled) -> None:
         if self.behavior != FAKE_TRR:
@@ -447,6 +456,7 @@ class SimWorld:
         self.broadcast = SimBroadcast(self)
         self.transport = InProcessTransport(self)
         self.attack_ledger = AttackLedger()
+        self.trace: list[dict] = []  # every node event, in time order
         self.client_addr = (0xC0A80001, 9)
         # each node's behavior, then its private scalar, then a liar's
         # listed scalar: the draws keygen would make, without the point
@@ -486,7 +496,7 @@ class SimWorld:
         node = SimNode(keypair, descriptor, self.transport,
                        NodeView(self.broadcast, node_id), self.node_rng,
                        now=self.now, behavior=self._behaviors[node_id],
-                       ledger=self.attack_ledger)
+                       ledger=self.attack_ledger, trace=self.trace)
         node.height = self.clock.height()
         self._nodes[node_id] = node
         self._listed[node_id] = listed
@@ -508,7 +518,9 @@ class SimWorld:
 
 @dataclass
 class TraceReport:
-    """Everything observable about one end-to-end send."""
+    """Everything observable about one end-to-end send; node_events is
+    the world's trace, one tick-stamped record per node event in the
+    order the events happened."""
 
     txid_hex: str
     success: bool
@@ -539,7 +551,6 @@ def run_end_to_end(cfg: SimConfig, tx: bytes,
         report = world.send(tx, policy)
     except GiveUp as exc:
         report = exc.report  # success is False
-    events = [e for node in world.built for e in node.events]
     release_ticks = [tick for tick, origin, t in world.broadcast.log if t == tid]
     try:
         spreader = sybil_first_spreader(world.broadcast.log, tid)
@@ -549,7 +560,7 @@ def run_end_to_end(cfg: SimConfig, tx: bytes,
         txid_hex=tid.hex(), success=report.success,
         rounds=report.total_rounds,
         route_ids=[a.hop_ids for rnd in report.rounds for a in rnd.attempts],
-        node_events=events, release_ticks=release_ticks,
+        node_events=world.trace, release_ticks=release_ticks,
         sybil_log=list(world.broadcast.log),
         recovered_routes=world.attack_ledger.reconstruct(world.client_addr),
         first_spreader=spreader)

@@ -141,15 +141,15 @@ class TestFileAdapters:
 
     def test_block_clock(self, tmp_path):
         path = tmp_path / "height"
-        clock = FileBlockClock(str(path), poll_interval=0.01, timeout=1.0)
+        clock = FileBlockClock(str(path), timeout=1.0)
         assert clock.height() == 0
         path.write_text("7\n")
         assert clock.height() == 7
         clock.wait_for(7)  # returns immediately
 
-    def test_block_clock_wait_gives_up_quietly(self, tmp_path):
-        clock = FileBlockClock(str(tmp_path / "h"), poll_interval=0.01,
-                               timeout=0.05)
+    def test_block_clock_wait_gives_up_quietly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nr, "POLL_INTERVAL_S", 0.01)
+        clock = FileBlockClock(str(tmp_path / "h"), timeout=0.05)
         start = time.monotonic()
         clock.wait_for(3)
         assert time.monotonic() - start < 1.0
@@ -209,8 +209,9 @@ class TestBenchDeterminism:
 
 
 @pytest.fixture
-def cluster(tmp_path):
+def cluster(tmp_path, monkeypatch):
     """Four live TCP nodes sharing a broadcast log and block file."""
+    monkeypatch.setattr(nr, "POLL_INTERVAL_S", 0.05)
     rng = random.Random(0xBEEF)
     block_file = tmp_path / "height"
     block_file.write_text("0\n")
@@ -229,7 +230,7 @@ def cluster(tmp_path):
         clock = FileBlockClock(str(block_file))
         thread = threading.Thread(
             target=nr.serve_node, args=(node, "127.0.0.1", port, clock),
-            kwargs={"timeout": 3.0, "stop_event": stop, "poll_interval": 0.05},
+            kwargs={"timeout": 3.0, "stop_event": stop},
             daemon=True)
         thread.start()
         threads.append(thread)
@@ -296,6 +297,18 @@ class TestSendIntegration:
                      "--block-file", str(cluster["block"])])
         assert code == 2
         assert "exceeds" in capsys.readouterr().err
+
+    def test_empty_tx_rejected_before_network(self, cluster, tmp_path, capsys):
+        tx_path = tmp_path / "empty.bin"
+        tx_path.write_bytes(b"")
+        code = main(["send", "--tx", str(tx_path),
+                     "--directory", str(cluster["dir"]),
+                     "--routes", "1", "--hops", "2", "--delay", "1",
+                     "--retries", "1", "--broadcast", str(cluster["broadcast"]),
+                     "--block-file", str(cluster["block"]),
+                     "--wait-timeout", "0.5"])
+        assert code != 0
+        assert "SizeMismatch" in capsys.readouterr().err
 
     def test_dead_hop_surfaces_ack_error(self, cluster, tmp_path, capsys):
         # a directory of one live node and one dead one, two hops: the

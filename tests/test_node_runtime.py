@@ -1,10 +1,12 @@
 """Node request handling, release pool semantics and the client loop."""
 
 import contextlib
+import gc
 import random
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -89,7 +91,7 @@ class TestServeConnection:
         conn = FakeConn([("vertrr", b""), ("trr", onion)])
         nr.serve_connection(world.nodes[0], conn)
         assert [c for c, _ in conn.sent] == ["vertrr"]
-        assert world.nodes[0].events[-1]["event"] == "peel_failed"
+        assert world.nodes[0].events == {"peel_failed": 1}
 
 
 class TestHandleRequest:
@@ -176,7 +178,17 @@ class TestOnNewBlock:
         assert n_b.on_new_block(2) == []  # duplicate dropped silently
         announcements = [e for e in world.broadcast.log if e[2] == nr.txid(tx)]
         assert len(announcements) == 1
-        assert any(e["event"] == "release_skipped_duplicate" for e in n_b.events)
+        assert n_b.events["release_skipped_duplicate"] == 1
+
+    def test_release_that_no_longer_verifies_is_skipped(self, world):
+        node = world.nodes[10]
+        onion, _ = make_onion(world, [10], b"stale tx", delay=1)
+        node.serve_request(onion, CLIENT_ADDR)
+        node.view.verify = lambda tx: False  # e.g. its inputs got spent
+        assert node.on_new_block(node.height + 1) == []
+        assert world.broadcast.log == []
+        assert node.pool == []
+        assert node.events["release_skipped_invalid"] == 1
 
     def test_height_must_increase(self, world):
         node = world.nodes[0]
@@ -185,6 +197,56 @@ class TestOnNewBlock:
             node.on_new_block(5)
         with pytest.raises(ValueError):
             node.on_new_block(4)
+
+
+class MemoryView:
+    """Broadcast view that remembers nothing: every tx is new and valid."""
+
+    def __init__(self):
+        self.broadcasts = 0
+
+    def seen_in_blockchain_or_mempool(self, txid):
+        return False
+
+    def broadcast(self, tx):
+        self.broadcasts += 1
+
+    def verify(self, tx):
+        return True
+
+
+class TestNodeMemory:
+    def test_serving_releases_holds_no_per_request_memory(self):
+        rng = random.Random(17)
+        keypair = ec.keygen(rng)
+        me = NodeDescriptor(node_id="n0", ip=LOOPBACK, port=8333,
+                            pubkey=keypair.public)
+        onions = [build_onion(rng.randbytes(200), Route((me,)), 1,
+                              ec.keygen_even(rng), now=0, rng=rng)
+                  for _ in range(200)]
+        view = MemoryView()
+        node = nr.TrrNode(keypair, me, None, view, random.Random(3),
+                          now=lambda: 0)
+
+        def serve(first, last):
+            for i in range(first, last + 1):
+                node.serve_request(onions[i - 1], CLIENT_ADDR)
+                node.on_new_block(i)
+
+        serve(1, 50)
+        gc.collect()
+        # only blocks allocated from here on are traced, so what is
+        # still held at request 200 is at least the growth since 50
+        tracemalloc.start()
+        try:
+            serve(51, 200)
+            gc.collect()
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grown < 4096
+        assert view.broadcasts == 200 and not node.pool
+        assert node.events["released"] == 200
 
 
 class TestClientSend:
@@ -206,6 +268,19 @@ class TestClientSend:
         with pytest.raises(SizeMismatch):
             world.send(bytes(10241), nr.SendPolicy())
         assert calls == []
+
+    def test_empty_tx_rejected_before_routes(self, world):
+        class NoTransport:
+            def request(self, *args, **kwargs):
+                raise AssertionError("an empty tx reached the transport")
+
+        rng = random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(SizeMismatch):
+            nr.client_send(b"", list(world.directory), nr.SendPolicy(), rng,
+                           transport=NoTransport(),
+                           view=world.nodes[0].view, clock=world.clock)
+        assert rng.getstate() == state  # no route was drawn
 
     def test_retry_round_on_transient_failure(self, world):
         orig = world.transport.request
