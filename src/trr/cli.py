@@ -23,7 +23,7 @@ import threading
 import time
 
 from . import analytics, ec_crypto, node_runtime, onion_routing
-from .errors import GiveUp, InvalidConfig, TrrError
+from .errors import GiveUp, InvalidConfig, SizeMismatch, TrrError
 from .wire_protocol import MAX_TX_SIZE, format_ipv4, parse_ipv4
 
 logger = logging.getLogger("trr.cli")
@@ -233,10 +233,6 @@ def cmd_node(args) -> int:
 def cmd_send(args) -> int:
     with open(args.tx, "rb") as fh:
         tx = fh.read()
-    if len(tx) > MAX_TX_SIZE:
-        print(f"error: transaction of {len(tx)} bytes exceeds {MAX_TX_SIZE}",
-              file=sys.stderr)
-        return 2
     directory = load_directory(args.directory)
     delays = tuple(_int_list(args.delay))
     policy = node_runtime.SendPolicy(num_routes=args.routes, hops=args.hops,
@@ -253,6 +249,9 @@ def cmd_send(args) -> int:
         _print_report(exc.report)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SizeMismatch as exc:  # empty or oversize: no route was drawn
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except TrrError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -225,29 +225,28 @@ POINT_LEN = 33
 def embed_chunk(chunk: bytes) -> CurvePoint:
     """Embed up to 31 bytes into a point.
 
-    The x-coordinate is the chunk left-padded to 31 bytes followed by a
-    trial counter byte; the smallest counter in 0..255 that lands on the
-    curve wins, so decoding is deterministic (drop the low byte).
+    The x-coordinate is a trial counter byte followed by the chunk
+    left-padded to 31 bytes; the smallest counter in 0..254 that lands
+    on the curve wins, so decoding is deterministic (keep the low 31
+    bytes).  A top byte below 0xFF keeps x below CURVE_P for every chunk.
     """
     if len(chunk) > CHUNK_LEN:
         raise ValueError(f"chunk too long: {len(chunk)} > {CHUNK_LEN}")
-    base = int.from_bytes(chunk.rjust(CHUNK_LEN, b"\x00"), "big") << 8
-    for counter in range(256):
-        x = base | counter
-        if x >= CURVE_P:
-            continue
+    base = int.from_bytes(chunk, "big")
+    for counter in range(255):
+        x = counter << 8 * CHUNK_LEN | base
         z = (x * x * x + CURVE_B) % CURVE_P
         if not _is_nonresidue(z):
             y = pow(z, _SQRT_EXP, CURVE_P)
             return CurvePoint(x, y if y % 2 == 0 else CURVE_P - y)
-    raise EmbeddingFailure("no counter in 0..255 yields a curve point")
+    raise EmbeddingFailure("no counter in 0..254 yields a curve point")
 
 
 def chunk_from_point(pt: CurvePoint) -> bytes:
     """Inverse of embed_chunk; always returns the full 31-byte field."""
     if pt.is_infinity:
         raise MalformedCipher("cannot decode the point at infinity")
-    return (pt.x >> 8).to_bytes(CHUNK_LEN, "big")
+    return pt.x.to_bytes(CHUNK_LEN + 1, "big")[1:]
 
 
 # -- ElGamal over byte streams ------------------------------------------

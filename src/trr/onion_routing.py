@@ -58,9 +58,6 @@ class Route:
 
     hops: tuple[NodeDescriptor, ...]
 
-    def __len__(self) -> int:
-        return len(self.hops)
-
 
 def select_routes(directory, num_routes: int, hops_per_route: int,
                   rng) -> list[Route]:

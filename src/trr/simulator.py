@@ -14,10 +14,11 @@ Two layers of fidelity:
   through an in-process transport, a tick-based block clock, a Sybil
   observer logging every broadcast, an attack ledger filled by
   observer (fake) nodes, and one trace of every node event stamped with
-  its tick, in the order the events happened.  The world draws every
-  node's behavior and private scalar up front but builds a node (public
-  key, descriptors, SimNode) only when it is first touched, so build
-  cost follows the nodes a run actually uses; blocks reach only the
+  its tick, in the order the events happened.  The world builds a node
+  (behavior, keypair, listed descriptor, SimNode) only when it is first
+  touched, drawing it from that node's own generator, so node i depends
+  on the seed and i alone and set-up makes no per-node draw; build cost
+  follows the nodes a run actually uses, and blocks reach only the
   nodes already built.
 
 Both layers recover routes with the same walk, stitch_chains: the
@@ -29,8 +30,8 @@ outcomes.  An estimate_srtr trial reads its own 64-bit words of
 SHAKE-128 over b"srtr", the seed and the trial index: a counter-based
 stream with no seeding step, so trials are independent and trial t
 draws the same whatever the number of trials.  estimate_srd seeds a
-generator per trial, and SimWorld its two generators, from trial_seed,
-a splittable counter.
+generator per trial, and SimWorld its client and ack generators and
+one per built node, from trial_seed, a splittable counter.
 """
 
 import bisect
@@ -102,8 +103,8 @@ def _splitmix64(x: int) -> int:
 
 def trial_seed(master: int, index: int) -> int:
     """Independent 64-bit stream seed: estimate_srd seeds trial t's
-    generator with index t, SimWorld its client and node generators with
-    indexes 0 and 1."""
+    generator with index t, SimWorld its client and ack generators with
+    indexes 0 and 1 and node i's build generator with index 2 + i."""
     return _splitmix64(_splitmix64(master & 0xFFFFFFFFFFFFFFFF) + index)
 
 
@@ -458,44 +459,34 @@ class SimWorld:
         self.attack_ledger = AttackLedger()
         self.trace: list[dict] = []  # every node event, in time order
         self.client_addr = (0xC0A80001, 9)
-        # each node's behavior, then its private scalar, then a liar's
-        # listed scalar: the draws keygen would make, without the point
-        self._behaviors: list[str] = []
-        self._scalars: list[int] = []
-        self._listed_scalars: dict[int, int] = {}
-        for node_id in range(cfg.n_nodes):
-            behavior = self._behavior()
-            self._behaviors.append(behavior)
-            self._scalars.append(self.rng.randrange(1, ec_crypto.CURVE_ORDER))
-            if behavior == "wrong_pubkey":  # the directory lies
-                self._listed_scalars[node_id] = self.rng.randrange(
-                    1, ec_crypto.CURVE_ORDER)
         self._nodes: list[SimNode | None] = [None] * cfg.n_nodes
         self._listed: list[NodeDescriptor | None] = [None] * cfg.n_nodes
         self.nodes = _PerNode(self._build, self._nodes)
         self.directory = _Directory(self._build, self._listed)
         self.built: list[SimNode] = []
 
-    def _behavior(self):
-        u = self.rng.random()
+    def _behavior(self, rng) -> str:
+        u = rng.random()
         if u < self.cfg.dishonest_rate:
-            return DISHONEST_MODES[self.rng.randrange(len(DISHONEST_MODES))]
+            return DISHONEST_MODES[rng.randrange(len(DISHONEST_MODES))]
         if u < self.cfg.dishonest_rate + self.cfg.fake_rate:
             return FAKE_TRR
         return HONEST
 
     def _build(self, node_id: int) -> None:
-        k = self._scalars[node_id]
-        keypair = ec_crypto.KeyPair(k, ec_crypto.scalar_mul(k, ec_crypto.G))
+        # node i draws from stream 2 + i alone, so it is the same node
+        # whatever the build order, n_nodes or the client's draws
+        rng = random.Random(trial_seed(self.cfg.seed, 2 + node_id))
+        behavior = self._behavior(rng)
+        keypair = ec_crypto.keygen(rng)
         descriptor = NodeDescriptor(node_id=node_id, ip=NODE_IP_BASE + node_id,
                                     port=NODE_PORT, pubkey=keypair.public)
         listed = descriptor
-        if node_id in self._listed_scalars:
-            listed = replace(descriptor, pubkey=ec_crypto.scalar_mul(
-                self._listed_scalars[node_id], ec_crypto.G))
+        if behavior == "wrong_pubkey":  # the directory lies
+            listed = replace(descriptor, pubkey=ec_crypto.keygen(rng).public)
         node = SimNode(keypair, descriptor, self.transport,
                        NodeView(self.broadcast, node_id), self.node_rng,
-                       now=self.now, behavior=self._behaviors[node_id],
+                       now=self.now, behavior=behavior,
                        ledger=self.attack_ledger, trace=self.trace)
         node.height = self.clock.height()
         self._nodes[node_id] = node

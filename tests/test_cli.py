@@ -208,6 +208,29 @@ class TestBenchDeterminism:
         assert strip_timing == strip_timing_y
 
 
+class TestNode:
+    def test_serves_loaded_key_at_listen_address(self, tmp_path, monkeypatch,
+                                                 capsys):
+        prefix = tmp_path / "relay"
+        assert main(["keygen", "--out", str(prefix)]) == 0
+        public = ec.point_from_bytes((tmp_path / "relay.pub").read_bytes())
+        (tmp_path / "block").write_text("7\n")
+        served = []
+        monkeypatch.setattr(nr, "serve_node", lambda node, host, port, clock,
+                            **kwargs: served.append((node, host, port)))
+        assert main(["node", "--key", str(prefix), "--listen", "127.0.0.1:9001",
+                     "--node-id", "relay", "--broadcast", str(tmp_path / "bc"),
+                     "--block-file", str(tmp_path / "block")]) == 0
+        ((node, host, port),) = served
+        assert (host, port) == ("127.0.0.1", 9001)
+        assert node.keypair.public == public
+        assert node.descriptor == NodeDescriptor(
+            node_id="relay", ip=parse_ipv4("127.0.0.1"), port=9001,
+            pubkey=public)
+        assert node.height == 7
+        assert ec.point_to_bytes(public).hex() in capsys.readouterr().out
+
+
 @pytest.fixture
 def cluster(tmp_path, monkeypatch):
     """Four live TCP nodes sharing a broadcast log and block file."""
@@ -296,7 +319,7 @@ class TestSendIntegration:
                      "--broadcast", str(cluster["broadcast"]),
                      "--block-file", str(cluster["block"])])
         assert code == 2
-        assert "exceeds" in capsys.readouterr().err
+        assert "SizeMismatch" in capsys.readouterr().err
 
     def test_empty_tx_rejected_before_network(self, cluster, tmp_path, capsys):
         tx_path = tmp_path / "empty.bin"
@@ -307,7 +330,7 @@ class TestSendIntegration:
                      "--retries", "1", "--broadcast", str(cluster["broadcast"]),
                      "--block-file", str(cluster["block"]),
                      "--wait-timeout", "0.5"])
-        assert code != 0
+        assert code == 2
         assert "SizeMismatch" in capsys.readouterr().err
 
     def test_dead_hop_surfaces_ack_error(self, cluster, tmp_path, capsys):

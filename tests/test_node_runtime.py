@@ -330,12 +330,15 @@ class TestClientSend:
         # exactly hops messages per route, none carrying the plaintext
         assert len(packets) == policy.num_routes * policy.hops
         assert all(tx not in pkt for _, _, pkt, _ in packets)
-        # the releasing hop heard from the middle hop, not the client
-        releasing_requests = [src for ip, port, _, src in packets
-                              if any(ip == world.directory[i].ip
-                                     for a in report.rounds[0].attempts
-                                     for i in [a.hop_ids[-1]])]
-        assert all(src != world.client_addr for src in releasing_requests)
+        # packets arrive route by route and hop by hop: only a first hop
+        # hears the client, the releasing hop hears the middle hop
+        for r, attempt in enumerate(report.rounds[0].attempts):
+            hops = [(world.directory[i].ip, world.directory[i].port)
+                    for i in attempt.hop_ids]
+            route_packets = packets[r * policy.hops:(r + 1) * policy.hops]
+            assert [(ip, port) for ip, port, _, _ in route_packets] == hops
+            assert [src for *_, src in route_packets] == \
+                [world.client_addr] + hops[:-1]
 
 
 class TestFrameSocket:
@@ -362,6 +365,32 @@ class TestFrameSocket:
         with pytest.raises(PeerClosed):
             left.recv_frame()
         left.close()
+
+    @pytest.mark.parametrize("replies, error", [
+        (["track"], NotTrr),  # no vertrr handshake
+        (["vertrr", "vertrr"], PeerClosed),  # no track after the request
+    ])
+    def test_wrong_reply_command_refused(self, replies, error):
+        a, b = socket.socketpair()
+        client, peer = nr.FrameSocket(a, 2.0), nr.FrameSocket(b, 2.0)
+        for command in replies:  # queued ahead in the socket buffer
+            peer.send_frame(command, b"")
+        with pytest.raises(error):
+            nr.request_over_connection(client, b"packet")
+        client.close(), peer.close()
+
+    def test_second_frame_not_trr_closes_without_reply(self, world):
+        node = world.nodes[0]
+        a, b = socket.socketpair()
+        client = nr.FrameSocket(a, 2.0)
+        client.send_frame("vertrr", b"")
+        client.send_frame("track", b"not a request")
+        nr.serve_connection(node, nr.FrameSocket(b, 2.0))
+        assert client.recv_frame() == ("vertrr", b"")
+        with pytest.raises(PeerClosed):
+            client.recv_frame()
+        assert not node.pool and not node.events
+        client.close()
 
     def test_bad_header_rejected_before_payload(self):
         # a 24-byte header with bad magic that declares a full 1 MiB payload

@@ -24,7 +24,9 @@ from trr.wire_protocol import (
     TRR_ACK_LEN,
     TRR_ROUTING_HEADER_LEN,
     TrrAck,
+    TrrRouting,
     decode_trr_ack,
+    encode_trr_routing,
     parse_ipv4,
 )
 
@@ -152,6 +154,17 @@ class TestOnion:
         for wrong in (1, 2, 3):
             with pytest.raises(MalformedRouting):
                 peel_layer(packet, keypool[wrong].private)
+
+    def test_release_with_bad_data_raises_malformed_routing(self, keypool):
+        rng = random.Random(39)
+        ret = ec.keygen_even(rng)
+        header = TrrRouting(  # a release whose payload is no trr_data
+            version=1, return_pubkey=ret.public.x.to_bytes(32, "big"),
+            dst_ip=0, port=0, payload=b"\x01\x02")
+        packet = ec.serialize_cipher(ec.elgamal_encrypt(
+            encode_trr_routing(header), keypool[0].public, rng))
+        with pytest.raises(MalformedRouting, match="release payload"):
+            peel_layer(packet, keypool[0].private)
 
     def test_garbage_packet_malformed_cipher(self):
         with pytest.raises(MalformedCipher):

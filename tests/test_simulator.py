@@ -1,5 +1,6 @@
 """Estimator correctness, attack-ledger stitching and end-to-end traces."""
 
+import contextlib
 import gc
 import itertools
 import json
@@ -271,12 +272,12 @@ class TestWorldFootprint:
         gc.collect()
         tracemalloc.start()
         try:
-            SimWorld(SimConfig(n_nodes=300, fake_rate=0.2, dishonest_rate=0.1,
-                               seed=11))
+            SimWorld(SimConfig(n_nodes=100_000, fake_rate=0.2,
+                               dishonest_rate=0.1, seed=11))
             traced, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert traced / 300 < 512
+        assert traced / 100_000 < 24  # two list slots and nothing drawn
 
     def test_nodes_share_one_ack_stream_and_their_descriptors(self):
         world = SimWorld(SimConfig(n_nodes=40, dishonest_rate=0.5, seed=12))
@@ -292,34 +293,29 @@ class TestWorldFootprint:
                 assert listed is node.descriptor
 
 
-def eager_reference(cfg):
-    """(behavior, keypair, listed pubkey) per node, drawn as an eager
-    build draws them: the behavior, keygen, and for a wrong_pubkey node
-    a second keygen for its listing, node by node from the world's seed.
-    Also returns the generator, left where the build leaves world.rng."""
-    rng = random.Random(trial_seed(cfg.seed, 0) ^ 0xE2E)
-    nodes = []
-    for _ in range(cfg.n_nodes):
-        u = rng.random()
-        if u < cfg.dishonest_rate:
-            behavior = DISHONEST_MODES[rng.randrange(len(DISHONEST_MODES))]
-        elif u < cfg.dishonest_rate + cfg.fake_rate:
-            behavior = FAKE_TRR
-        else:
-            behavior = HONEST
-        keypair = ec.keygen(rng)
-        listed = (ec.keygen(rng).public if behavior == "wrong_pubkey"
-                  else keypair.public)
-        nodes.append((behavior, keypair, listed))
-    return nodes, rng
+def node_reference(cfg, i):
+    """(behavior, keypair, listed pubkey) of node i, drawn as a build
+    draws them from the node's own generator: the behavior, keygen, and
+    for a wrong_pubkey node a second keygen for its listing."""
+    rng = random.Random(trial_seed(cfg.seed, 2 + i))
+    u = rng.random()
+    if u < cfg.dishonest_rate:
+        behavior = DISHONEST_MODES[rng.randrange(len(DISHONEST_MODES))]
+    elif u < cfg.dishonest_rate + cfg.fake_rate:
+        behavior = FAKE_TRR
+    else:
+        behavior = HONEST
+    keypair = ec.keygen(rng)
+    listed = (ec.keygen(rng).public if behavior == "wrong_pubkey"
+              else keypair.public)
+    return behavior, keypair, listed
 
 
 class TestLazyWorld:
-    def test_nodes_match_an_eager_build(self):
+    def test_nodes_match_their_own_streams(self):
         cfg = SimConfig(n_nodes=40, dishonest_rate=0.5, fake_rate=0.2, seed=14)
         world = SimWorld(cfg)
-        expected, rng = eager_reference(cfg)
-        assert world.rng.getstate() == rng.getstate()  # client draws unchanged
+        expected = [node_reference(cfg, i) for i in range(cfg.n_nodes)]
         assert {b for b, _, _ in expected} == {HONEST, FAKE_TRR, *DISHONEST_MODES}
         order = list(range(cfg.n_nodes))
         random.Random(3).shuffle(order)  # the build order must not matter
@@ -333,6 +329,27 @@ class TestLazyWorld:
             assert world.directory[i].pubkey == listed
         assert len(world.nodes) == len(world.directory) == cfg.n_nodes
         assert [n.descriptor.node_id for n in world.built] == list(range(40))
+
+    def test_node_depends_on_seed_and_id_alone(self):
+        cfg = SimConfig(n_nodes=40, dishonest_rate=0.5, fake_rate=0.2, seed=19)
+        small, large = SimWorld(cfg), SimWorld(replace(cfg, n_nodes=400))
+        with contextlib.suppress(GiveUp):  # the client draws and builds first
+            large.send(b"client draws first", SendPolicy(num_routes=2, hops=3))
+        for i in (39, 0, 17, 5):
+            a, b = small.nodes[i], large.nodes[i]
+            assert (a.behavior, a.keypair, a.descriptor) == \
+                (b.behavior, b.keypair, b.descriptor)
+            assert small.directory[i] == large.directory[i]
+
+    def test_build_reads_neither_world_stream(self):
+        world = SimWorld(SimConfig(n_nodes=60, dishonest_rate=0.5,
+                                   fake_rate=0.2, seed=20))
+        client, acks = world.rng.getstate(), world.node_rng.getstate()
+        for i in range(0, 60, 7):
+            world.nodes[i]
+            world.directory[i + 1]
+        assert world.rng.getstate() == client
+        assert world.node_rng.getstate() == acks
 
     def test_build_makes_no_scalar_multiplication(self, monkeypatch):
         calls = []
@@ -402,6 +419,15 @@ class TestEndToEnd:
         assert report.first_spreader in releasing
         assert report.first_spreader != "client"
 
+    def test_send_with_an_all_ones_chunk(self):
+        # from tx offset 2 the 31 0xFF bytes fill one chunk of the
+        # releasing layer's plaintext
+        world = SimWorld(SimConfig(n_nodes=8, seed=22))
+        tx = bytes(2) + b"\xff" * 31 + b"\x01"
+        report = world.send(tx, SendPolicy(num_routes=1, hops=2))
+        assert report.success
+        assert [tid for _, _, tid in world.broadcast.log] == [nr.txid(tx)]
+
     def test_duplicate_suppressed_across_routes(self):
         cfg = SimConfig(n_nodes=30, seed=21, num_routes=3, hops=2)
         report = run_end_to_end(cfg, b"dup tx")
@@ -424,6 +450,10 @@ class TestDishonestModes:
         world = SimWorld(SimConfig(n_nodes=3, seed=40))
         victim = world.nodes[1]
         victim.behavior = mode
+        if mode == "no_release":
+            # only a releasing hop can withhold, and any node may release
+            for node in world.nodes:
+                node.behavior = mode
         if mode == "wrong_pubkey":
             lying = random.Random(1234)
             from trr import ec_crypto
