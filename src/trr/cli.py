@@ -24,7 +24,7 @@ import time
 
 from . import analytics, ec_crypto, node_runtime, onion_routing
 from .errors import GiveUp, InvalidConfig, SizeMismatch, TrrError
-from .wire_protocol import MAX_TX_SIZE, format_ipv4, parse_ipv4
+from .wire_protocol import MAX_TX_SIZE, format_ipv4, parse_ipv4, parse_port
 
 logger = logging.getLogger("trr.cli")
 
@@ -108,7 +108,7 @@ def load_directory(path: str) -> list[onion_routing.NodeDescriptor]:
             try:
                 node_id, ip, port, pubkey_hex = line.split(",")
                 directory.append(onion_routing.NodeDescriptor(
-                    node_id=node_id, ip=parse_ipv4(ip), port=int(port),
+                    node_id=node_id, ip=parse_ipv4(ip), port=parse_port(port),
                     pubkey=ec_crypto.point_from_bytes(bytes.fromhex(pubkey_hex))))
             except (ValueError, TrrError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad directory record "
@@ -136,7 +136,10 @@ def cmd_keygen(args) -> int:
     rng = random.SystemRandom()
     kp = ec_crypto.keygen(rng)
     pub = ec_crypto.point_to_bytes(kp.public)
-    with open(args.out + ".key", "wb") as fh:
+    fd = os.open(args.out + ".key", os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                 0o600)
+    os.fchmod(fd, 0o600)  # open's mode applies only to a new file
+    with open(fd, "wb") as fh:
         fh.write(ec_crypto.private_to_bytes(kp.private))
     with open(args.out + ".pub", "wb") as fh:
         fh.write(pub)
@@ -208,7 +211,7 @@ def cmd_bench(args) -> int:
 
 def cmd_node(args) -> int:
     host, port_text = args.listen.rsplit(":", 1)
-    port = int(port_text)
+    port = parse_port(port_text)
     keypair = _load_keypair(args.key)
     view = FileBroadcastView(args.broadcast)
     descriptor = onion_routing.NodeDescriptor(
@@ -239,10 +242,9 @@ def cmd_send(args) -> int:
                                      delays=delays, retry_rounds=args.retries)
     view = FileBroadcastView(args.broadcast)
     clock = FileBlockClock(args.block_file, timeout=args.wait_timeout)
-    rng = random.SystemRandom() if args.seed is None else random.Random(args.seed)
     try:
         report = node_runtime.client_send(
-            tx, directory, policy, rng,
+            tx, directory, policy, random.SystemRandom(),
             transport=node_runtime.TcpTransport(args.timeout),
             view=view, clock=clock)
     except GiveUp as exc:
@@ -324,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=node_runtime.DEFAULT_TIMEOUT)
     p.add_argument("--wait-timeout", type=float, default=60.0,
                    help="max seconds to wait for the block file per round")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_send)
     return parser
 

@@ -365,17 +365,28 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
 def serve_node(node: TrrNode, host: str, port: int, clock, *,
                timeout: float = DEFAULT_TIMEOUT,
                stop_event: threading.Event) -> None:
-    """Serve TCP connections while following an external block clock."""
-    server = threading.Thread(
-        target=run_node_server, args=(node, host, port),
-        kwargs={"timeout": timeout, "stop_event": stop_event}, daemon=True)
+    """Serve TCP connections while following an external block clock;
+    an error that ends the accept loop, such as a port already in use,
+    ends this call too and is raised here."""
+    failure = []
+
+    def listen():
+        try:
+            run_node_server(node, host, port, timeout=timeout,
+                            stop_event=stop_event)
+        except Exception as exc:
+            failure.append(exc)
+
+    server = threading.Thread(target=listen, daemon=True)
     server.start()
-    while not stop_event.is_set():
+    while not stop_event.is_set() and server.is_alive():
         height = clock.height()
         if height > node.height:
             node.on_new_block(height)
         time.sleep(POLL_INTERVAL_S)
     server.join(timeout=2)
+    if failure:
+        raise failure[0]
 
 
 # -- client ----------------------------------------------------------------
@@ -442,9 +453,9 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
             delay = policy.delays[i % len(policy.delays)]
             max_delay = max(max_delay, delay)
             attempt = RouteAttempt(
-                hop_ids=tuple(h.node_id for h in route.hops), delay=delay)
+                hop_ids=tuple(h.node_id for h in route), delay=delay)
             onion = build_onion(tx, route, delay, return_kp, now(), rng)
-            first = route.hops[0]
+            first = route[0]
             try:
                 raw_ack = transport.request(first.ip, first.port, onion,
                                             src_addr=client_addr)

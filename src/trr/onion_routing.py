@@ -1,6 +1,8 @@
 """Client-side route selection, onion construction and per-hop peeling.
 
-An onion for the route [A, B, C] nests encryptions from the inside out:
+A route is the tuple of its hops' NodeDescriptors, the last one the
+releasing node.  An onion for the route (A, B, C) nests encryptions
+from the inside out:
 
     to C:  routing(dst=0)      | trr_data(tx, delay)
     to B:  routing(dst=C)      | cipher_for_C
@@ -38,10 +40,6 @@ from .wire_protocol import (
 MIN_HOPS = 1
 MAX_HOPS = 10
 
-# An onion packet is plain bytes: the serialized outermost cipher stream.
-OnionPacket = bytes
-
-
 @dataclass(frozen=True, slots=True)
 class NodeDescriptor:
     """Directory entry for one relay node."""
@@ -52,15 +50,8 @@ class NodeDescriptor:
     pubkey: ec_crypto.CurvePoint
 
 
-@dataclass(frozen=True, slots=True)
-class Route:
-    """Ordered hops; the last one is the releasing node."""
-
-    hops: tuple[NodeDescriptor, ...]
-
-
 def select_routes(directory, num_routes: int, hops_per_route: int,
-                  rng) -> list[Route]:
+                  rng) -> list[tuple[NodeDescriptor, ...]]:
     """Sample num_routes routes of hops_per_route distinct nodes each.
 
     Hops are drawn uniformly without replacement and in random order
@@ -73,7 +64,7 @@ def select_routes(directory, num_routes: int, hops_per_route: int,
     if len(directory) < hops_per_route:
         raise InsufficientNodes(
             f"directory holds {len(directory)} nodes, need {hops_per_route}")
-    return [Route(tuple(rng.sample(directory, hops_per_route)))
+    return [tuple(rng.sample(directory, hops_per_route))
             for _ in range(num_routes)]
 
 
@@ -95,10 +86,11 @@ class Release:
     return_pubkey: bytes
 
 
-def build_onion(tx: bytes, route: Route, release_delay: int,
-                return_keypair: ec_crypto.KeyPair, now: int, rng) -> OnionPacket:
-    """Layer-encrypt tx for the given route, innermost layer first."""
-    if not route.hops:
+def build_onion(tx: bytes, route: tuple, release_delay: int,
+                return_keypair: ec_crypto.KeyPair, now: int, rng) -> bytes:
+    """Layer-encrypt tx for the given route, innermost layer first; the
+    onion is the serialized outermost cipher stream."""
+    if not route:
         raise ValueError("route has no hops")
     if return_keypair.public.y % 2 != 0:
         raise ValueError("return keypair must have an even-parity public key")
@@ -107,8 +99,8 @@ def build_onion(tx: bytes, route: Route, release_delay: int,
     inner = TrrRouting(
         version=1, return_pubkey=return_x, dst_ip=0, port=0,
         payload=encode_trr_data(TrrData(1, now, release_delay, tx)))
-    packet = _encrypt_layer(encode_trr_routing(inner), route.hops[-1].pubkey, rng)
-    for hop, successor in zip(route.hops[-2::-1], route.hops[:0:-1]):
+    packet = _encrypt_layer(encode_trr_routing(inner), route[-1].pubkey, rng)
+    for hop, successor in zip(route[-2::-1], route[:0:-1]):
         layer = TrrRouting(version=1, return_pubkey=return_x,
                            dst_ip=successor.ip, port=successor.port,
                            payload=packet)

@@ -14,12 +14,13 @@ Two layers of fidelity:
   through an in-process transport, a tick-based block clock, a Sybil
   observer logging every broadcast, an attack ledger filled by
   observer (fake) nodes, and one trace of every node event stamped with
-  its tick, in the order the events happened.  The world builds a node
-  (behavior, keypair, listed descriptor, SimNode) only when it is first
-  touched, drawing it from that node's own generator, so node i depends
-  on the seed and i alone and set-up makes no per-node draw; build cost
-  follows the nodes a run actually uses, and blocks reach only the
-  nodes already built.
+  its tick, in the order the events happened.  The world keeps one node
+  table and builds a node (behavior, keypair, SimNode and the
+  descriptor it is listed under) only when it is first touched, drawing
+  it from that node's own generator, so node i depends on the seed and
+  i alone and set-up makes no per-node draw; build cost follows the
+  nodes a run actually uses, and blocks reach only the nodes already
+  built.
 
 Both layers recover routes with the same walk, stitch_chains: the
 estimator feeds it node-id records, AttackLedger.reconstruct its
@@ -283,9 +284,6 @@ class SimBroadcast:
         self.log.append((self._world.clock.tick, origin, tid))
         self.seen.add(tid)
 
-    def verify(self, tx: bytes) -> bool:
-        return 0 < len(tx) <= MAX_TX_SIZE
-
 
 class NodeView:
     """Per-node handle onto the shared broadcast stub, so the observer
@@ -302,7 +300,7 @@ class NodeView:
         self._broadcast.observe(self._node_id, tx)
 
     def verify(self, tx: bytes) -> bool:
-        return self._broadcast.verify(tx)
+        return 0 < len(tx) <= MAX_TX_SIZE
 
 
 def sybil_first_spreader(log, txid: bytes):
@@ -315,9 +313,10 @@ def sybil_first_spreader(log, txid: bytes):
 
 
 class SimNode(TrrNode):
-    """TrrNode plus a behavior label; an observer node appends one
-    stitch_chains record per request it serves to the ledger, and every
-    node appends each event, tick-stamped, to the world's trace."""
+    """TrrNode plus a behavior label and the descriptor the directory
+    lists it under (listed); an observer node appends one stitch_chains
+    record per request it serves to the ledger, and every node appends
+    each event, tick-stamped, to the world's trace."""
 
     def __init__(self, *args, behavior, ledger, trace, **kwargs):
         super().__init__(*args, **kwargs)
@@ -412,38 +411,30 @@ class InProcessTransport:
 
 
 class _PerNode(Sequence):
-    """One per-node list of a SimWorld, n_nodes long; indexing an entry
-    builds its node first."""
+    """A view of a SimWorld's node table, n_nodes long, whose entry i is
+    pick(node i); indexing an entry builds its node first."""
 
-    def __init__(self, build, items: list):
-        self._build = build
-        self._items = items  # None until the node is built
+    def __init__(self, world, pick):
+        self._table = world._nodes  # None until the node is built
+        self._build = world._build
+        self._pick = pick
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._table)
 
     def __getitem__(self, i: int):
-        item = self._items[i]
-        if item is None:
-            self._build(range(len(self._items))[i])
-            item = self._items[i]
-        return item
-
-
-class _Directory(_PerNode):
-    """The listed descriptors; an entry can be replaced, as a lying
-    directory would."""
-
-    def __setitem__(self, i: int, descriptor: NodeDescriptor) -> None:
-        self[i]  # build the node first so it does not overwrite the entry
-        self._items[i] = descriptor
+        node = self._table[i]
+        if node is None:
+            node = self._build(range(len(self._table))[i])
+        return self._pick(node)
 
 
 class SimWorld:
-    """Fully wired network of SimNodes for end-to-end runs.  nodes and
-    directory are sequences over all n_nodes; a node is built when
-    either is first indexed at it, and built holds those nodes in
-    node-id order."""
+    """Fully wired network of SimNodes for end-to-end runs.  One node
+    table holds every SimNode, which carries its directory entry as
+    listed; nodes and directory are views of it over all n_nodes.  A
+    node is built when either view is first indexed at it, and built
+    holds those nodes in node-id order."""
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -460,9 +451,8 @@ class SimWorld:
         self.trace: list[dict] = []  # every node event, in time order
         self.client_addr = (0xC0A80001, 9)
         self._nodes: list[SimNode | None] = [None] * cfg.n_nodes
-        self._listed: list[NodeDescriptor | None] = [None] * cfg.n_nodes
-        self.nodes = _PerNode(self._build, self._nodes)
-        self.directory = _Directory(self._build, self._listed)
+        self.nodes = _PerNode(self, lambda node: node)
+        self.directory = _PerNode(self, lambda node: node.listed)
         self.built: list[SimNode] = []
 
     def _behavior(self, rng) -> str:
@@ -473,7 +463,7 @@ class SimWorld:
             return FAKE_TRR
         return HONEST
 
-    def _build(self, node_id: int) -> None:
+    def _build(self, node_id: int) -> SimNode:
         # node i draws from stream 2 + i alone, so it is the same node
         # whatever the build order, n_nodes or the client's draws
         rng = random.Random(trial_seed(self.cfg.seed, 2 + node_id))
@@ -481,17 +471,18 @@ class SimWorld:
         keypair = ec_crypto.keygen(rng)
         descriptor = NodeDescriptor(node_id=node_id, ip=NODE_IP_BASE + node_id,
                                     port=NODE_PORT, pubkey=keypair.public)
-        listed = descriptor
-        if behavior == "wrong_pubkey":  # the directory lies
-            listed = replace(descriptor, pubkey=ec_crypto.keygen(rng).public)
         node = SimNode(keypair, descriptor, self.transport,
                        NodeView(self.broadcast, node_id), self.node_rng,
                        now=self.now, behavior=behavior,
                        ledger=self.attack_ledger, trace=self.trace)
         node.height = self.clock.height()
+        node.listed = descriptor
+        if behavior == "wrong_pubkey":  # the directory lies
+            node.listed = replace(descriptor,
+                                  pubkey=ec_crypto.keygen(rng).public)
         self._nodes[node_id] = node
-        self._listed[node_id] = listed
         bisect.insort(self.built, node, key=lambda n: n.descriptor.node_id)
+        return node
 
     def send(self, tx: bytes, policy: SendPolicy, rng=None):
         """client_send over this world's transport/view/clock."""
@@ -532,14 +523,13 @@ class TraceReport:
         return "\n".join(lines) + "\n"
 
 
-def run_end_to_end(cfg: SimConfig, tx: bytes,
-                   policy: SendPolicy | None = None) -> TraceReport:
+def run_end_to_end(cfg: SimConfig, tx: bytes) -> TraceReport:
     """One full send over a freshly built world."""
     world = SimWorld(cfg)
-    policy = policy or SendPolicy(num_routes=cfg.num_routes, hops=cfg.hops)
     tid = node_runtime.txid(tx)
     try:
-        report = world.send(tx, policy)
+        report = world.send(tx, SendPolicy(num_routes=cfg.num_routes,
+                                           hops=cfg.hops))
     except GiveUp as exc:
         report = exc.report  # success is False
     release_ticks = [tick for tick, origin, t in world.broadcast.log if t == tid]

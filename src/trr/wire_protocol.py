@@ -52,14 +52,30 @@ def dsha256(payload: bytes) -> bytes:
     return hashlib.sha256(hashlib.sha256(payload).digest()).digest()
 
 
+def _parse_decimal(text: str) -> int:
+    """ASCII digits with no leading zero, as an address field is
+    written; int() alone would also take signs, blanks, underscores and
+    other scripts' digits, and the OS reads a leading zero as octal."""
+    if not (text.isascii() and text.isdigit()) or str(int(text)) != text:
+        raise ValueError(f"not a plain decimal field: {text!r}")
+    return int(text)
+
+
 def parse_ipv4(text: str) -> int:
     parts = text.split(".")
     if len(parts) != 4:
         raise ValueError(f"not a dotted-quad IPv4 address: {text!r}")
-    octets = [int(p) for p in parts]
-    if any(not 0 <= o <= 255 for o in octets):
+    octets = [_parse_decimal(p) for p in parts]
+    if any(o > 255 for o in octets):
         raise ValueError(f"IPv4 octet out of range: {text!r}")
     return octets[0] << 24 | octets[1] << 16 | octets[2] << 8 | octets[3]
+
+
+def parse_port(text: str) -> int:
+    port = _parse_decimal(text)
+    if not 1 <= port <= 65535:
+        raise ValueError(f"port out of range 1..65535: {text!r}")
+    return port
 
 
 def format_ipv4(ip: int) -> str:

@@ -21,7 +21,7 @@ from trr import wire_protocol as wp
 from trr.analytics import RouteParams, mixing_stats, srd_closed_form, srtr_closed_form
 from trr.errors import TrrError
 from trr.node_runtime import SendPolicy
-from trr.onion_routing import Route, build_onion
+from trr.onion_routing import build_onion
 from trr.simulator import SimConfig, SimWorld, estimate_srd, estimate_srtr, sybil_first_spreader
 
 from pathlib import Path
@@ -187,7 +187,7 @@ def test_criterion_5_cipher_growth():
     assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
     assert ratios[-1] <= 1.5, f"10240-byte ratio {ratios[-1]:.3f}"
     world = SimWorld(SimConfig(n_nodes=5, seed=3))
-    onion = build_onion(rng.randbytes(256), Route(tuple(world.directory)),
+    onion = build_onion(rng.randbytes(256), tuple(world.directory),
                         1, ec.keygen_even(rng), 0, rng)
     assert len(onion) <= 1200, f"256-byte tx, 5-hop onion is {len(onion)} bytes"
     check("criterion 5 (growth ratio decreasing, bounds)", True,
@@ -248,7 +248,7 @@ def test_criterion_8_release_delay():
         node = world.nodes[k]
         ret = ec.keygen_even(rng)
         tx = bytes([k]) * 16
-        onion = build_onion(tx, Route((world.directory[k],)), k, ret, 0, rng)
+        onion = build_onion(tx, (world.directory[k],), k, ret, 0, rng)
         node.serve_request(onion, (1, 1))
         start = node.height
         for h in range(start + 1, start + k):
@@ -258,8 +258,8 @@ def test_criterion_8_release_delay():
     tx = b"\xee" * 20
     a, b = world.nodes[6], world.nodes[7]
     ret = ec.keygen_even(rng)
-    a.serve_request(build_onion(tx, Route((world.directory[6],)), 1, ret, 0, rng), (1, 1))
-    b.serve_request(build_onion(tx, Route((world.directory[7],)), 2, ret, 0, rng), (1, 1))
+    a.serve_request(build_onion(tx, (world.directory[6],), 1, ret, 0, rng), (1, 1))
+    b.serve_request(build_onion(tx, (world.directory[7],), 2, ret, 0, rng), (1, 1))
     a.on_new_block(a.height + 1)
     b.on_new_block(b.height + 1)
     b.on_new_block(b.height + 1)

@@ -3,6 +3,7 @@
 import os
 import random
 import socket
+import stat
 import sys
 import threading
 import time
@@ -28,6 +29,13 @@ def free_port() -> int:
         return s.getsockname()[1]
 
 
+def seed_send(monkeypatch, seed: int) -> None:
+    """trr send draws every route, return key and layer nonce from
+    random.SystemRandom; a seeded stand-in fixes the routes."""
+    monkeypatch.setattr("trr.cli.random.SystemRandom",
+                        lambda: random.Random(seed))
+
+
 class TestKeygen:
     def test_writes_parseable_keys(self, tmp_path, capsys):
         prefix = tmp_path / "node1"
@@ -37,6 +45,16 @@ class TestKeygen:
         assert ec.scalar_mul(private, ec.G) == public
         printed = f"public:  {ec.point_to_bytes(public).hex()}\n"
         assert printed in capsys.readouterr().out
+
+    def test_private_key_is_owner_only(self, tmp_path):
+        old = tmp_path / "old.key"
+        old.write_bytes(b"an older key")
+        old.chmod(0o644)
+        for prefix in ("new", "old"):
+            assert main(["keygen", "--out", str(tmp_path / prefix)]) == 0
+            mode = os.stat(tmp_path / f"{prefix}.key").st_mode
+            assert stat.S_IMODE(mode) == 0o600, prefix
+        assert len(old.read_bytes()) != len(b"an older key")
 
     def test_two_runs_distinct(self, tmp_path):
         main(["keygen", "--out", str(tmp_path / "a")])
@@ -58,6 +76,16 @@ class TestDirectoryFiles:
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "nodes.csv"
         path.write_text("n0,10.0.0.1,8000,zznothex\n")
+        with pytest.raises(ValueError, match="nodes.csv:1"):
+            load_directory(str(path))
+
+    @pytest.mark.parametrize("port", ["0", "65536", "70000", "08000", "+8000",
+                                      " 8000", "8_000", "-1"])
+    def test_bad_port_rejected(self, tmp_path, port):
+        pubkey = ec.keygen(random.Random(3)).public
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"n0,10.0.0.1,{port},"
+                        f"{ec.point_to_bytes(pubkey).hex()}\n")
         with pytest.raises(ValueError, match="nodes.csv:1"):
             load_directory(str(path))
 
@@ -230,6 +258,40 @@ class TestNode:
         assert node.height == 7
         assert ec.point_to_bytes(public).hex() in capsys.readouterr().out
 
+    @pytest.mark.parametrize("listen", ["127.0.0.1:70000", "127.0.0.1:0",
+                                        "127.0.0.1:+80", "127.0.0.1:080",
+                                        "010.0.0.1:8000"])
+    def test_bad_listen_address_rejected(self, tmp_path, monkeypatch, capsys,
+                                         listen):
+        prefix = tmp_path / "relay"
+        assert main(["keygen", "--out", str(prefix)]) == 0
+        served = []
+        monkeypatch.setattr(nr, "serve_node", lambda *args, **kwargs:
+                            served.append(args))
+        assert main(["node", "--key", str(prefix), "--listen", listen,
+                     "--broadcast", str(tmp_path / "bc"),
+                     "--block-file", str(tmp_path / "block")]) == 1
+        assert served == []
+        assert "ValueError" in capsys.readouterr().err
+
+    def test_exits_1_when_it_cannot_listen(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.setattr(nr, "POLL_INTERVAL_S", 0.05)
+        prefix = tmp_path / "relay"
+        assert main(["keygen", "--out", str(prefix)]) == 0
+        codes = []
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            runner = threading.Thread(target=lambda: codes.append(main([
+                "node", "--key", str(prefix), "--listen", f"127.0.0.1:{port}",
+                "--broadcast", str(tmp_path / "bc"),
+                "--block-file", str(tmp_path / "block")])), daemon=True)
+            runner.start()
+            runner.join(timeout=10)
+        assert not runner.is_alive(), "trr node still runs without a listener"
+        assert codes == [1]
+        assert "Address already in use" in capsys.readouterr().err
+
 
 @pytest.fixture
 def cluster(tmp_path, monkeypatch):
@@ -277,7 +339,9 @@ def cluster(tmp_path, monkeypatch):
 
 
 class TestSendIntegration:
-    def test_three_hop_send_releases_after_delay(self, cluster, tmp_path, capsys):
+    def test_three_hop_send_releases_after_delay(self, cluster, tmp_path,
+                                                 monkeypatch, capsys):
+        seed_send(monkeypatch, 21)
         tx_path = tmp_path / "tx.bin"
         tx = random.Random(1).randbytes(200)
         tx_path.write_bytes(tx)
@@ -299,8 +363,7 @@ class TestSendIntegration:
                          "--routes", "1", "--hops", "3", "--delay", "1",
                          "--retries", "2", "--broadcast", str(cluster["broadcast"]),
                          "--block-file", str(cluster["block"]),
-                         "--timeout", "3", "--wait-timeout", "10",
-                         "--seed", "21"])
+                         "--timeout", "3", "--wait-timeout", "10"])
         finally:
             ticker_stop.set()
             ticker.join(timeout=2)
@@ -333,7 +396,8 @@ class TestSendIntegration:
         assert code == 2
         assert "SizeMismatch" in capsys.readouterr().err
 
-    def test_dead_hop_surfaces_ack_error(self, cluster, tmp_path, capsys):
+    def test_dead_hop_surfaces_ack_error(self, cluster, tmp_path, monkeypatch,
+                                         capsys):
         # a directory of one live node and one dead one, two hops: the
         # relayed ack must carry the unreachable hop's address
         rng = random.Random(77)
@@ -351,14 +415,23 @@ class TestSendIntegration:
                 seed = candidate
                 break
         assert seed is not None
+        seed_send(monkeypatch, seed)
         code = main(["send", "--tx", str(tx_path),
                      "--directory", str(pair_path),
                      "--routes", "1", "--hops", "2", "--delay", "1",
                      "--retries", "1", "--broadcast", str(cluster["broadcast"]),
                      "--block-file", str(cluster["block"]),
-                     "--timeout", "2", "--wait-timeout", "0.5",
-                     "--seed", str(seed)])
+                     "--timeout", "2", "--wait-timeout", "0.5"])
         captured = capsys.readouterr()
         assert code == 1
         assert f"errno={nr.ERR_UNREACHABLE}" in captured.out
         assert "err=127.0.0.1" in captured.out
+
+    def test_send_takes_no_seed(self, capsys):
+        # a guessable seed would fix the return key and every layer nonce
+        with pytest.raises(SystemExit) as exc:
+            main(["send", "--tx", "tx.bin", "--directory", "nodes.csv",
+                  "--broadcast", "log", "--block-file", "height",
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from trr.errors import (
     SizeMismatch,
     TrrTimeout,
 )
-from trr.onion_routing import NodeDescriptor, Route, build_onion, decrypt_ack
+from trr.onion_routing import NodeDescriptor, build_onion, decrypt_ack
 from trr.simulator import BLOCK_INTERVAL_TICKS, SimConfig, SimWorld
 from trr.wire_protocol import MAX_FRAME_PAYLOAD, frame_message, parse_ipv4
 
@@ -37,7 +37,7 @@ def make_onion(world, route_ids, tx, delay=1, seed=5, extra_hops=()):
     rng = random.Random(seed)
     hops = tuple(world.directory[i] for i in route_ids) + tuple(extra_hops)
     ret = ec.keygen_even(rng)
-    return build_onion(tx, Route(hops), delay, ret, now=0, rng=rng), ret
+    return build_onion(tx, hops, delay, ret, now=0, rng=rng), ret
 
 
 class FakeConn:
@@ -221,7 +221,7 @@ class TestNodeMemory:
         keypair = ec.keygen(rng)
         me = NodeDescriptor(node_id="n0", ip=LOOPBACK, port=8333,
                             pubkey=keypair.public)
-        onions = [build_onion(rng.randbytes(200), Route((me,)), 1,
+        onions = [build_onion(rng.randbytes(200), (me,), 1,
                               ec.keygen_even(rng), now=0, rng=rng)
                   for _ in range(200)]
         view = MemoryView()
@@ -433,7 +433,7 @@ class TestFrameSocket:
                                        ec.keygen(rng).public)
             node = nr.TrrNode(kp, me, nr.TcpTransport(timeout=2.0), None, rng)
             ret = ec.keygen_even(rng)
-            onion = build_onion(b"tx", Route((me, successor)), 1, ret, 0, rng)
+            onion = build_onion(b"tx", (me, successor), 1, ret, 0, rng)
             with node_server(node) as (port, _):
                 raw = nr.TcpTransport(timeout=2.0).request(LOOPBACK, port, onion)
             replier.join(timeout=3)

@@ -12,7 +12,6 @@ from trr.onion_routing import (
     Forward,
     NodeDescriptor,
     Release,
-    Route,
     build_onion,
     decrypt_ack,
     encrypt_ack,
@@ -45,7 +44,7 @@ def directory(keypool):
 
 
 def build_and_peel(tx, hops, keypool, directory, rng, delay=1):
-    route = Route(tuple(directory[:hops]))
+    route = tuple(directory[:hops])
     ret = ec.keygen_even(rng)
     packet = build_onion(tx, route, delay, ret, now=0, rng=rng)
     for i in range(hops - 1):
@@ -68,7 +67,7 @@ class TestSelectRoutes:
         draws = 10_000
         for _ in range(draws):
             (route,) = select_routes(small, 1, 3, rng)
-            counts[tuple(h.node_id for h in route.hops)] += 1
+            counts[tuple(h.node_id for h in route)] += 1
         expected = draws / 6
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 20.52  # chi-square 0.001 critical value, df=5
@@ -82,7 +81,7 @@ class TestSelectRoutes:
         for _ in range(100):
             routes = select_routes(directory, 3, 5, rng)
             for route in routes:
-                ids = [h.node_id for h in route.hops]
+                ids = [h.node_id for h in route]
                 assert len(set(ids)) == len(ids)
 
     def test_independent_routes_collision_rate(self, directory):
@@ -93,7 +92,7 @@ class TestSelectRoutes:
         pairs = same = 0
         for _ in range(10_000):
             routes = select_routes(small, 3, 3, rng)
-            ids = [tuple(h.node_id for h in r.hops) for r in routes]
+            ids = [tuple(h.node_id for h in r) for r in routes]
             for a, b in itertools.combinations(ids, 2):
                 pairs += 1
                 same += a == b
@@ -141,7 +140,7 @@ class TestOnion:
 
     def test_wrong_key_raises_malformed_routing(self, keypool, directory):
         rng = random.Random(37)
-        route = Route(tuple(directory[:3]))
+        route = tuple(directory[:3])
         packet = build_onion(b"tx", route, 1, ec.keygen_even(rng), 0, rng)
         with pytest.raises(MalformedRouting):
             peel_layer(packet, keypool[5].private)
@@ -149,7 +148,7 @@ class TestOnion:
     def test_layer_isolation(self, keypool, directory):
         # hop i's key opens only layer i
         rng = random.Random(41)
-        route = Route(tuple(directory[:4]))
+        route = tuple(directory[:4])
         packet = build_onion(b"tx bytes", route, 1, ec.keygen_even(rng), 0, rng)
         for wrong in (1, 2, 3):
             with pytest.raises(MalformedRouting):
@@ -174,7 +173,7 @@ class TestOnion:
         # no >= 8-byte substring survives a hop: each layer is fresh
         # ciphertext, so a relay's output is unlinkable to its input
         rng = random.Random(43)
-        route = Route(tuple(directory[:3]))
+        route = tuple(directory[:3])
         packet = build_onion(rng.randbytes(200), route, 1,
                              ec.keygen_even(rng), 0, rng)
         peeled = peel_layer(packet, keypool[0].private)
@@ -187,8 +186,8 @@ class TestOnion:
     def test_onion_size_function_of_lengths_only(self, keypool, directory):
         rng = random.Random(47)
         ret = ec.keygen_even(rng)
-        route_a = Route(tuple(directory[:5]))
-        route_b = Route(tuple(directory[5:10]))
+        route_a = tuple(directory[:5])
+        route_b = tuple(directory[5:10])
         a = build_onion(b"\x00" * 256, route_a, 1, ret, 0, rng)
         b = build_onion(rng.randbytes(256), route_b, 5, ret, 999, rng)
         assert len(a) == len(b)
@@ -201,7 +200,7 @@ class TestOnion:
 
     def test_return_pubkey_present_at_every_hop(self, keypool, directory):
         rng = random.Random(59)
-        route = Route(tuple(directory[:3]))
+        route = tuple(directory[:3])
         ret = ec.keygen_even(rng)
         expected = ret.public.x.to_bytes(32, "big")
         packet = build_onion(b"tx", route, 1, ret, 0, rng)
@@ -219,7 +218,7 @@ class TestOnion:
         while kp.public.y % 2 == 0:
             kp = ec.keygen(rng)
         with pytest.raises(ValueError):
-            build_onion(b"tx", Route(tuple(directory[:2])), 1, kp, 0, rng)
+            build_onion(b"tx", tuple(directory[:2]), 1, kp, 0, rng)
 
 
 class TestAckPath:
@@ -255,7 +254,7 @@ class TestAckPath:
     def test_next_layer_unreadable_by_first_hop(self, keypool, directory):
         rng = random.Random(89)
         ret = ec.keygen_even(rng)
-        packet = build_onion(b"tx bytes", Route(tuple(directory[:3])), 1, ret,
+        packet = build_onion(b"tx bytes", tuple(directory[:3]), 1, ret,
                              now=0, rng=rng)
         peeled = peel_layer(packet, keypool[0].private)  # its own layer only
         blocks = ec.deserialize_cipher(peeled.remaining).blocks

@@ -20,7 +20,7 @@ from trr import simulator
 from trr.analytics import RouteParams, srd_closed_form, srtr_closed_form
 from trr.errors import GiveUp, InvalidConfig, NotObserved
 from trr.node_runtime import SendPolicy
-from trr.onion_routing import MAX_HOPS, NodeDescriptor, Route, build_onion
+from trr.onion_routing import MAX_HOPS, NodeDescriptor, build_onion
 from trr.simulator import (
     DISHONEST_MODES,
     FAKE_TRR,
@@ -277,7 +277,7 @@ class TestWorldFootprint:
             traced, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert traced / 100_000 < 24  # two list slots and nothing drawn
+        assert traced / 100_000 < 12  # one list slot and nothing drawn
 
     def test_nodes_share_one_ack_stream_and_their_descriptors(self):
         world = SimWorld(SimConfig(n_nodes=40, dishonest_rate=0.5, seed=12))
@@ -399,7 +399,7 @@ class TestLazyWorld:
         assert node.height == 3
         rng = random.Random(18)
         tx = b"late node tx"
-        node.serve_request(build_onion(tx, Route((world.directory[21],)), 2,
+        node.serve_request(build_onion(tx, (world.directory[21],), 2,
                                        ec.keygen_even(rng), 0, rng), (1, 1))
         assert [p.release_height for p in node.pool] == [5]
         world.clock.advance_block()
@@ -456,12 +456,8 @@ class TestDishonestModes:
                 node.behavior = mode
         if mode == "wrong_pubkey":
             lying = random.Random(1234)
-            from trr import ec_crypto
-            from trr.onion_routing import NodeDescriptor
-            d = world.directory[1]
-            world.directory[1] = NodeDescriptor(
-                node_id=d.node_id, ip=d.ip, port=d.port,
-                pubkey=ec_crypto.keygen(lying).public)
+            victim.listed = replace(victim.listed,
+                                    pubkey=ec.keygen(lying).public)
         return world
 
     @pytest.mark.parametrize("mode", ["deny_connection", "drop_data",

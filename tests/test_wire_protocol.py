@@ -258,6 +258,27 @@ class TestIpv4Helpers:
         with pytest.raises(ValueError):
             wp.parse_ipv4(bad)
 
+    @pytest.mark.parametrize("bad", [
+        "010.0.0.1",  # the OS reads a leading zero as octal: 8.0.0.1
+        "00.0.0.0", "1.2.3.0004", "1.2.3.+4", "1.2.3.-0", " 1.2.3.4",
+        "1.2.3.4 ", "1_0.0.0.1", "\u0661.\u0662.\u0663.\u0664",
+    ])
+    def test_parse_rejects_loose_octets(self, bad):
+        with pytest.raises(ValueError):
+            wp.parse_ipv4(bad)
+
+    @pytest.mark.parametrize("text,value", [
+        ("1", 1), ("80", 80), ("8333", 8333), ("65535", 65535)])
+    def test_parse_port(self, text, value):
+        assert wp.parse_port(text) == value
+
+    @pytest.mark.parametrize("bad", ["0", "65536", "70000", "08333", "+80",
+                                     " 80", "8_0", "-1", "", "100000",
+                                     "\u0668\u0660"])
+    def test_parse_port_rejects(self, bad):
+        with pytest.raises(ValueError):
+            wp.parse_port(bad)
+
 
 def test_fuzz_decoders_smoke():
     """Random buffers produce typed errors, never crashes (the full
