@@ -100,12 +100,12 @@ class FileBlockClock:
 def load_directory(path: str) -> list[onion_routing.NodeDescriptor]:
     """One node per line: node_id,ip,port,pubkey_hex (compressed)."""
     directory = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:  # a non-ASCII byte is a bad record too
+                line = raw.decode("ascii").strip()
+                if not line or line.startswith("#"):
+                    continue
                 node_id, ip, port, pubkey_hex = line.split(",")
                 directory.append(onion_routing.NodeDescriptor(
                     node_id=node_id, ip=parse_ipv4(ip), port=parse_port(port),
@@ -222,12 +222,13 @@ def cmd_node(args) -> int:
         random.SystemRandom())
     clock = FileBlockClock(args.block_file)
     node.height = clock.height()
-    print(f"node {args.node_id} listening on {args.listen}, "
-          f"pubkey {ec_crypto.point_to_bytes(keypair.public).hex()}")
+    pubkey_hex = ec_crypto.point_to_bytes(keypair.public).hex()
     stop = threading.Event()
     try:
-        node_runtime.serve_node(node, host, port, clock,
-                                timeout=args.timeout, stop_event=stop)
+        node_runtime.serve_node(
+            node, host, port, clock, timeout=args.timeout, stop_event=stop,
+            on_listening=lambda: print(f"node {args.node_id} listening on "
+                                       f"{args.listen}, pubkey {pubkey_hex}"))
     except KeyboardInterrupt:
         stop.set()
     return 0

@@ -6,6 +6,13 @@ block together with a single shared C2 = rG; decryption recovers
 M = C1 - kC2.  Arbitrary byte strings are handled by length-prefixing
 the plaintext, splitting it into 31-byte chunks and embedding each
 chunk into the x-coordinate of a point.
+
+Scalar multiplication is not constant-time.  A multiple of G adds one
+point per signed 7-bit digit of the scalar, at most 37, from a 37 x 64
+table built on first use.  Any other point's scalar is split into two
+GLV halves of about 128 bits, whose width-5 wNAF digits add odd
+multiples of the point: about 128 doublings and 43 additions.  Both
+run in one Jacobian loop, _walk.
 """
 
 from dataclasses import dataclass
@@ -90,59 +97,113 @@ def point_double(a: CurvePoint) -> CurvePoint:
     return CurvePoint(x3, (lam * (a.x - x3) - a.y) % CURVE_P)
 
 
-# Scalar multiplication runs in Jacobian coordinates to avoid a field
-# inversion per group operation; only the final result is normalised.
+# Scalar multiplication adds affine table points into a Jacobian sum,
+# where (X, Y, Z) stands for (X / Z^2, Y / Z^3), so no group operation
+# needs a field inversion; sums are normalised at the end, several at once.
 
-def _jac_double(x1, y1, z1):
-    a = x1 * x1 % CURVE_P
-    b = y1 * y1 % CURVE_P
-    c = b * b % CURVE_P
-    s = x1 + b
-    d = 2 * (s * s - a - c) % CURVE_P
-    e = 3 * a % CURVE_P
-    x3 = (e * e - 2 * d) % CURVE_P
-    y3 = (e * (d - x3) - 8 * c) % CURVE_P
-    return x3, y3, 2 * y1 * z1 % CURVE_P
-
-
-def _jac_add_affine(x1, y1, z1, x2, y2):
-    # mixed addition, second operand affine (z = 1)
-    z1z1 = z1 * z1 % CURVE_P
-    u2 = x2 * z1z1 % CURVE_P
-    s2 = y2 * z1 * z1z1 % CURVE_P
-    if u2 == x1:
-        if s2 == y1:
-            return _jac_double(x1, y1, z1)
-        return 1, 1, 0
-    h = (u2 - x1) % CURVE_P
-    r = (s2 - y1) % CURVE_P
-    hh = h * h % CURVE_P
-    hhh = h * hh % CURVE_P
-    v = x1 * hh % CURVE_P
-    x3 = (r * r - hhh - 2 * v) % CURVE_P
-    y3 = (r * (v - x3) - y1 * hhh) % CURVE_P
-    return x3, y3, z1 * h % CURVE_P
+def _inverses(values: list[int]) -> list[int]:
+    """[1 / v mod p for v in values], for nonzero values, with one field
+    inversion shared by all (Montgomery's trick)."""
+    prefix = [1]  # prefix[i] = values[0] * ... * values[i - 1]
+    for v in values:
+        prefix.append(prefix[-1] * v % CURVE_P)
+    inv = pow(prefix[-1], -1, CURVE_P)  # 1 / prefix[i + 1] at step i
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % CURVE_P
+        inv = inv * values[i] % CURVE_P
+    return out
 
 
-def _jac_to_affine(x, y, z) -> CurvePoint:
-    if z == 0:
-        return INFINITY
-    zi = pow(z, -1, CURVE_P)
-    zi2 = zi * zi % CURVE_P
-    return CurvePoint(x * zi2 % CURVE_P, y * zi2 * zi % CURVE_P)
+def _to_affine(sums) -> list[tuple[int, int]]:
+    """Affine (x, y) of each Jacobian (X, Y, Z) in sums."""
+    out = []
+    for (x, y, _), zi in zip(sums, _inverses([z for _, _, z in sums])):
+        zi2 = zi * zi % CURVE_P
+        out.append((x * zi2 % CURVE_P, y * zi2 * zi % CURVE_P))
+    return out
 
 
-@cache  # built whole on first use, so no thread sees a partial table
-def _g_table() -> list[list[tuple[int, int]]]:
-    """Row i holds j * 16^i * G in affine coordinates, j = 1..15."""
-    rows, base = [], G
-    for _ in range(64):
-        row = [base]
-        for _ in range(15):
-            row.append(point_add(row[-1], base))
-        rows.append([(p.x, p.y) for p in row[:15]])
-        base = row[15]
+def _walk(steps):
+    """Yield the running sum, in Jacobian coordinates, after each step.
+
+    A step (n, x, y) doubles the sum n times and then adds the affine
+    point (x, y), or nothing when x is None.  The sum starts at infinity
+    (Z = 0, which doubling keeps).  The mixed addition has no branch for
+    adding a point to itself or to its negative: no caller's walk meets
+    either case (see _g_steps and _glv_steps).
+    """
+    p = CURVE_P
+    X = Y = Z = 0
+    for n, x2, y2 in steps:
+        for _ in range(n):
+            # dbl-2009-l for a = 0, with D = 4 X B
+            a = X * X % p
+            b = Y * Y % p
+            d = 4 * X * b % p
+            e = 3 * a
+            Z = 2 * Y * Z % p
+            X = (e * e - 2 * d) % p
+            Y = (e * (d - X) - 8 * b * b) % p
+        if x2 is None:
+            pass
+        elif Z:
+            zz = Z * Z % p
+            h = x2 * zz % p - X
+            r = y2 * zz * Z % p - Y
+            hh = h * h % p
+            hhh = h * hh % p
+            v = X * hh % p
+            X = (r * r - hhh - 2 * v) % p
+            Y = (r * (v - X) - Y * hhh) % p
+            Z = Z * h % p
+        else:
+            X, Y, Z = x2, y2, 1
+        yield X, Y, Z
+
+
+# Multiples of G: each signed 7-bit digit of the scalar picks one affine
+# point from its row of a 37 x 64 table.  The table is built whole on first
+# use, never at import, so no thread sees a partial one; each row keeps its
+# xs and its ys in two tuples, about 0.3 MiB in all.
+_G_ROWS = 37  # 7-bit digits of a scalar below n < 2^256
+
+
+@cache
+def _g_table() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Row i holds the xs and the ys of j * 128^i * G, j = 1..64.
+
+    One walk per row gives B, 2B, ..., 64B and then 128B, the next row's
+    B, and one shared inversion normalises them.
+    """
+    rows, x, y = [], _GX, _GY
+    double = (1, None, None)
+    for _ in range(_G_ROWS):
+        walk = [(0, x, y), double] + [(0, x, y)] * 62 + [double]
+        *row, (x, y) = _to_affine(list(_walk(walk)))
+        rows.append(tuple(zip(*row)))
     return rows
+
+
+def _g_steps(k: int) -> list[tuple]:
+    """Walk steps for k * G, 0 < k < n: one table point per nonzero
+    signed 7-bit digit of k, each digit in -63..64.
+
+    The sum before row i's point is below 0.51 * 128^i in size, so it is
+    never that point or its negative: for i < 36 as integers, and in the
+    top row, whose digit is at most 16, because k < n.
+    """
+    steps = []
+    for xs, ys in _g_table():
+        digit = k & 127
+        if digit > 64:
+            digit -= 128
+        k = (k - digit) >> 7
+        if digit:
+            j = abs(digit) - 1
+            y = ys[j] if digit > 0 else CURVE_P - ys[j]
+            steps.append((0, xs[j], y))
+    return steps
 
 
 # lambda * (x, y) = (beta * x, y) on secp256k1.  Writing k = k1 + k2 * lambda
@@ -162,33 +223,70 @@ def _split_scalar(k: int) -> tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
+def _odd_multiples(x: int, y: int) -> list[tuple[int, int]]:
+    """Affine P, 3P, ..., 15P for P = (x, y), with one inversion.
+
+    2P = (X, Y, Z) is the affine (X, Y) on the isomorphic curve
+    y^2 = x^3 + 7 Z^6, onto which (x, y) -> (x Z^2, y Z^3) maps; the
+    walk never uses the curve's constant, so P's image there takes seven
+    mixed additions of 2P, and each sum's z, times Z, is its z on ours.
+    """
+    *_, (x2, y2, z2) = _walk([(0, x, y), (1, None, None)])
+    zz = z2 * z2 % CURVE_P
+    x1, y1 = x * zz % CURVE_P, y * zz * z2 % CURVE_P
+    sums = _walk([(0, x1, y1)] + [(0, x2, y2)] * 7)
+    return _to_affine([(x, y, z * z2 % CURVE_P) for x, y, z in sums])
+
+
+def _glv_steps(k: int, pt: CurvePoint) -> list[tuple]:
+    """Walk steps for k * pt, 0 < k < n: the width-5 wNAF digits of both
+    GLV halves, merged from the top bit down.
+
+    The second half's table is the first one's with beta * x.  A half's
+    sign, and each digit's, flips y to p - y.  Before a digit is added,
+    its half's partial scalar is 0 or a multiple of 32, never the odd
+    digit or its negative, so the sum could be the point added, or its
+    negative, only through a nonzero (k1, k2) lattice vector with both
+    entries below 2^127.35 + 31 in size, and there is none (the tests
+    check this bound).
+    """
+    k1, k2 = _split_scalar(k)
+    xs, ys = zip(*_odd_multiples(pt.x, pt.y))
+    events = []  # (bit position, x, y)
+    for half, half_xs in ((k1, xs), (k2, [_BETA * x % CURVE_P for x in xs])):
+        flip, half, pos = half < 0, abs(half), 0
+        while half:
+            zeros = (half & -half).bit_length() - 1
+            half >>= zeros
+            pos += zeros
+            digit = half & 31  # odd: the signed residue mod 32 is the digit
+            if digit > 16:
+                digit -= 32
+            half -= digit
+            j = abs(digit) >> 1
+            y = ys[j] if (digit < 0) == flip else CURVE_P - ys[j]
+            events.append((pos, half_xs[j], y))
+    events.sort(key=lambda event: event[0], reverse=True)
+    steps, top = [], events[0][0]
+    for pos, x, y in events:
+        steps.append((top - pos, x, y))
+        top = pos
+    steps.append((top, None, None))
+    return steps
+
+
 def scalar_mul(k: int, pt: CurvePoint) -> CurvePoint:
-    """k * pt with k taken mod the group order."""
+    """k * pt with k taken mod the group order; not constant-time."""
     k %= CURVE_ORDER
     if k == 0 or pt.is_infinity:
         return INFINITY
-    acc = (1, 1, 0)
     if pt.x == _GX and pt.y == _GY:
-        # fixed-base path: one precomputed addition per nonzero hex digit
-        for row in _g_table():
-            if k & 15:
-                q = row[(k & 15) - 1]
-                acc = _jac_add_affine(*acc, *q) if acc[2] else (*q, 1)
-            k >>= 4
-        return _jac_to_affine(*acc)
-    k1, k2 = _split_scalar(k)
-    p1 = CurvePoint(pt.x, pt.y if k1 >= 0 else CURVE_P - pt.y)
-    p2 = CurvePoint(_BETA * pt.x % CURVE_P, pt.y if k2 >= 0 else CURVE_P - pt.y)
-    both = point_add(p1, p2)  # finite: x = 0 is not on the curve
-    table = (None, (p1.x, p1.y), (p2.x, p2.y), (both.x, both.y))
-    k1, k2 = abs(k1), abs(k2)
-    for i in range(max(k1.bit_length(), k2.bit_length()) - 1, -1, -1):
-        acc = _jac_double(*acc)
-        sel = (k1 >> i & 1) | (k2 >> i & 1) << 1
-        if sel:
-            q = table[sel]
-            acc = _jac_add_affine(*acc, *q) if acc[2] else (*q, 1)
-    return _jac_to_affine(*acc)
+        steps = _g_steps(k)
+    else:
+        steps = _glv_steps(k, pt)
+    *_, last = _walk(steps)
+    (x, y), = _to_affine([last])
+    return CurvePoint(x, y)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,24 +364,18 @@ class CipherStream:
 
 def _add_to_each(points, s: CurvePoint) -> list[CurvePoint]:
     """[pt + s for pt in points] for finite points, with one field
-    inversion shared by all slopes (Montgomery's trick)."""
+    inversion shared by all slopes."""
     if s.is_infinity:
         return list(points)
     dxs = [(pt.x - s.x) % CURVE_P for pt in points]
     if not all(dxs):  # some pt = +-s: no chord through both
         return [point_add(pt, s) for pt in points]
-    prefix = [1]  # prefix[i] = dxs[0] * ... * dxs[i - 1]
-    for dx in dxs:
-        prefix.append(prefix[-1] * dx % CURVE_P)
-    inv = pow(prefix[-1], -1, CURVE_P)  # 1 / prefix[i + 1] at step i
     out = []
-    for i in range(len(points) - 1, -1, -1):
-        pt = points[i]
-        lam = (pt.y - s.y) * inv * prefix[i] % CURVE_P
-        inv = inv * dxs[i] % CURVE_P
+    for pt, inv in zip(points, _inverses(dxs)):
+        lam = (pt.y - s.y) * inv % CURVE_P
         x3 = (lam * lam - pt.x - s.x) % CURVE_P
         out.append(CurvePoint(x3, (lam * (pt.x - x3) - pt.y) % CURVE_P))
-    return out[::-1]
+    return out
 
 
 def elgamal_encrypt(plaintext: bytes, recipient_pub: CurvePoint, rng) -> CipherStream:

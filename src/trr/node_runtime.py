@@ -348,10 +348,14 @@ class TcpTransport:
 
 def run_node_server(node: TrrNode, host: str, port: int, *,
                     timeout: float = DEFAULT_TIMEOUT,
-                    stop_event: threading.Event) -> None:
-    """Accept loop for a TCP node; one thread per connection."""
+                    stop_event: threading.Event,
+                    on_listening=None) -> None:
+    """Accept loop for a TCP node; one thread per connection.
+    on_listening, if given, is called once the socket is bound."""
     with socket.create_server((host, port)) as server:
         server.settimeout(0.2)
+        if on_listening is not None:
+            on_listening()
         while not stop_event.is_set():
             try:
                 sock, _ = server.accept()
@@ -364,16 +368,17 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
 
 def serve_node(node: TrrNode, host: str, port: int, clock, *,
                timeout: float = DEFAULT_TIMEOUT,
-               stop_event: threading.Event) -> None:
+               stop_event: threading.Event, on_listening=None) -> None:
     """Serve TCP connections while following an external block clock;
     an error that ends the accept loop, such as a port already in use,
-    ends this call too and is raised here."""
+    ends this call too and is raised here.  on_listening is passed to
+    run_node_server."""
     failure = []
 
     def listen():
         try:
             run_node_server(node, host, port, timeout=timeout,
-                            stop_event=stop_event)
+                            stop_event=stop_event, on_listening=on_listening)
         except Exception as exc:
             failure.append(exc)
 

@@ -89,6 +89,17 @@ class TestDirectoryFiles:
         with pytest.raises(ValueError, match="nodes.csv:1"):
             load_directory(str(path))
 
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        # an Arabic-Indic 8 in the port field, on the file's second line
+        pubkey = ec.keygen(random.Random(4)).public
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"# header\nn0,10.0.0.1,800\u0668,"
+                        f"{ec.point_to_bytes(pubkey).hex()}\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match="nodes.csv:2: bad directory record") as info:
+            load_directory(str(path))
+        assert type(info.value) is ValueError
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         rng = random.Random(2)
         d = NodeDescriptor("x", parse_ipv4("10.0.0.1"), 1, ec.keygen(rng).public)
@@ -244,8 +255,9 @@ class TestNode:
         public = ec.point_from_bytes((tmp_path / "relay.pub").read_bytes())
         (tmp_path / "block").write_text("7\n")
         served = []
-        monkeypatch.setattr(nr, "serve_node", lambda node, host, port, clock,
-                            **kwargs: served.append((node, host, port)))
+        monkeypatch.setattr(nr, "serve_node", lambda node, host, port, clock, *,
+                            on_listening, **kwargs:
+                            served.append((node, host, port)) or on_listening())
         assert main(["node", "--key", str(prefix), "--listen", "127.0.0.1:9001",
                      "--node-id", "relay", "--broadcast", str(tmp_path / "bc"),
                      "--block-file", str(tmp_path / "block")]) == 0
@@ -290,7 +302,9 @@ class TestNode:
             runner.join(timeout=10)
         assert not runner.is_alive(), "trr node still runs without a listener"
         assert codes == [1]
-        assert "Address already in use" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "Address already in use" in err
+        assert "listening" not in out
 
 
 @pytest.fixture

@@ -80,19 +80,70 @@ def affine_double_and_add(k, pt):
 
 
 class TestFastPaths:
-    # the fixed-base table, the GLV split, the shared inversion and the
-    # Jacobi-symbol filter against slow references
+    # the fixed-base table, the GLV split and wNAF digits, the shared
+    # inversion and the Jacobi-symbol filter against slow references
 
-    EDGE_SCALARS = (1, 2, 15, 16, 17, 2**128 - 1, 2**128, 15 * 16**63,
-                    N - 2, N - 1, N + 1, -1, 0)
+    EDGE_SCALARS = (
+        1, 2, 15, 16, 17, 2**128 - 1, 2**128, 15 * 16**63,
+        N - 2, N - 1, N + 1, -1, 0,
+        # signed 7-bit windows of G's table: the largest digit, a run of
+        # -1 digits carried up to the top row, a top digit of 16
+        *(64 * 128**i for i in (0, 1, 18, 35, 36)),
+        *(128**i - 1 for i in (1, 2, 18, 36)),
+        63, 65, 127, 129, 2**255,
+        *(N - 2**i for i in (7, 128, 252)),
+        15 * 2**252 + 127 * 2**245,
+        # each sign of each GLV half, and halves of 0 (lambda and -lambda)
+        *((a + b * ec._LAMBDA) % N for a in (3, -3) for b in (5, -5)),
+        ec._LAMBDA, N - ec._LAMBDA,
+        # width-5 wNAF digits: -1 and a carry (31), 1 and 1 (33)
+        31, 33)
 
     def test_scalar_mul_matches_reference(self, rng):
+        # small multiples of G as bases pin the odd-multiple table to
+        # known points
         pts = [ec.G, ec.point_neg(ec.G),
                ec.scalar_mul(rng.randrange(1, N), ec.G)]
-        scalars = list(self.EDGE_SCALARS) + [rng.randrange(N) for _ in range(40)]
-        for k in scalars:
+        small = [affine_double_and_add(j, ec.G) for j in (2, 3, 15)]
+        for k in self.EDGE_SCALARS:
+            for pt in pts + small:
+                assert ec.scalar_mul(k, pt) == affine_double_and_add(k, pt), k
+        for k in [rng.randrange(N) for _ in range(40)]:
             for pt in pts:
                 assert ec.scalar_mul(k, pt) == affine_double_and_add(k, pt), k
+
+    def test_edge_scalars_cover_every_glv_sign(self, rng):
+        signs = set()
+        for k in list(self.EDGE_SCALARS) + [rng.randrange(N) for _ in range(40)]:
+            k1, k2 = ec._split_scalar(k % N)
+            signs.add(((k1 > 0) - (k1 < 0), (k2 > 0) - (k2 < 0)))
+        assert {(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 1), (0, -1),
+                (1, 0)} <= signs
+
+    def test_glv_walk_never_meets_its_addend(self, rng):
+        # _walk's mixed addition has no doubling branch.  A GLV walk could
+        # need one only through a nonzero (a, b), a + b * lambda = 0 mod n,
+        # with both entries at most the split's bound plus 31 in size.
+        a1, b1, a2, b2 = ec._A1, ec._B1, ec._A2, ec._B2
+        assert a1 * b2 - a2 * b1 == N
+        assert (a1 + b1 * ec._LAMBDA) % N == (a2 + b2 * ec._LAMBDA) % N == 0
+        bound = max(abs(a1) + abs(a2), abs(b1) + abs(b2)) // 2
+        for k in list(self.EDGE_SCALARS) + [rng.randrange(N) for _ in range(2000)]:
+            assert max(map(abs, ec._split_scalar(k % N))) <= bound, k
+        # a Gauss-reduced basis: (a1, b1) is a shortest nonzero vector,
+        # and no vector's largest entry is below its length over sqrt(2)
+        n1, dot = a1 * a1 + b1 * b1, a1 * a2 + b1 * b2
+        assert n1 <= a2 * a2 + b2 * b2 and 2 * abs(dot) <= n1
+        assert 2 * (bound + 31) ** 2 < n1
+
+    @given(st.integers(-N, 2 * N), st.integers(-N, 2 * N))
+    @example(2, N - 1)
+    @example(N - 1, N - 1)
+    @settings(max_examples=40, deadline=None)
+    def test_product_of_scalars(self, a, b):
+        # the GLV path (a times bG) against the fixed-base table
+        assert ec.scalar_mul(a, ec.scalar_mul(b, ec.G)) == \
+            ec.scalar_mul(a * b % N, ec.G)
 
     def test_endomorphism_constants(self, rng):
         assert ec.scalar_mul(ec._LAMBDA, ec.G) == ec.CurvePoint(

@@ -417,6 +417,26 @@ class TestFrameSocket:
             assert [p.tx for p in node.pool] == [b"tcp tx"]
             assert server.is_alive()  # this server answered, not another one
 
+    def test_on_listening_runs_once_bound(self, world):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        stop, reached = threading.Event(), []
+
+        def on_listening():  # the port takes a connection by now
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+            reached.append(port)
+            stop.set()
+
+        server = threading.Thread(
+            target=nr.run_node_server, args=(world.nodes[0], "127.0.0.1", port),
+            kwargs={"stop_event": stop, "on_listening": on_listening},
+            daemon=True)
+        server.start()
+        server.join(timeout=5)
+        assert not server.is_alive()
+        assert reached == [port]
+
     def test_malformed_reply_blames_next_hop(self):
         """A next hop that answers with a corrupted frame is reported in
         the relay's own ack, not blamed on the relay by a dropped
