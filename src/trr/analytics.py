@@ -17,44 +17,27 @@ Both formulas use the infinite-population approximation (per-hop
 independence); with thousands of nodes the finite-pool correction is
 below two-decimal reporting precision.
 
-The arithmetic is generic: passing fractions.Fraction parameters yields
-exact rational results.
+Closed forms, Monte Carlo estimators and the full SimWorld all read one
+parameter point, a simulator.SimConfig: d is its dishonest_rate, f its
+fake_rate, h its hops and r its num_routes.  The arithmetic is generic:
+passing fractions.Fraction rates yields exact rational results.
 """
 
 import io
-from dataclasses import dataclass
 
 from .errors import DelayOutOfRange, InvalidConfig
+from .simulator import SimConfig, estimate_srd, estimate_srtr
 from .wire_protocol import MAX_RELEASE_DELAY, MIN_RELEASE_DELAY
 
-CSV_COLUMNS = ("d", "f", "h", "r", "srtr_cf", "srd_cf")
-CSV_MC_COLUMNS = ("srtr_mc", "srtr_se", "srd_mc", "srd_se")
+CSV_COLUMNS = ("d", "f", "h", "r", "srtr_cf", "srd_cf",
+               "srtr_mc", "srtr_se", "srd_mc", "srd_se")
 
 
-@dataclass(frozen=True, slots=True)
-class RouteParams:
-    """One grid point: dishonest rate d, observer (fake-node) rate f,
-    hops per route h, routes per send r."""
-
-    d: float = 0.0
-    f: float = 0.0
-    h: int = 3
-    r: int = 3
-
-    def validate(self) -> None:
-        if not (0 <= self.d <= 1 and 0 <= self.f <= 1):
-            raise InvalidConfig("rates must lie in [0, 1]")
-        if self.d + self.f > 1:
-            raise InvalidConfig("d + f must not exceed 1")
-        if self.h < 1 or self.r < 1:
-            raise InvalidConfig("h and r must be at least 1")
-
-
-def srtr_closed_form(p: RouteParams):
+def srtr_closed_form(cfg: SimConfig):
     """Probability that at least one route releases."""
-    p.validate()
-    route_ok = (1 - p.d) ** p.h
-    return 1 - (1 - route_ok) ** p.r
+    cfg.validate()
+    route_ok = (1 - cfg.dishonest_rate) ** cfg.hops
+    return 1 - (1 - route_ok) ** cfg.num_routes
 
 
 def chain_coverage_prob(f, m: int):
@@ -72,14 +55,15 @@ def chain_coverage_prob(f, m: int):
     return a_prev1 if m >= 1 else a_prev2
 
 
-def srd_closed_form(p: RouteParams):
+def srd_closed_form(cfg: SimConfig):
     """Probability that at least one route reconstructs end to end."""
-    p.validate()
-    if p.h == 1:
-        route_q = p.f  # single hop is both starting and releasing node
+    cfg.validate()
+    f = cfg.fake_rate
+    if cfg.hops == 1:
+        route_q = f  # single hop is both starting and releasing node
     else:
-        route_q = p.f * p.f * chain_coverage_prob(p.f, p.h - 2)
-    return 1 - (1 - route_q) ** p.r
+        route_q = f * f * chain_coverage_prob(f, cfg.hops - 2)
+    return 1 - (1 - route_q) ** cfg.num_routes
 
 
 def mixing_stats(delay_blocks: int, tx_per_block: int) -> int:
@@ -95,25 +79,19 @@ def _fmt(value) -> str:
     return f"{float(value):.6g}"
 
 
-def sweep(grid, trials: int = 0, seed: int = 0, n_nodes: int = 6000) -> str:
-    """CSV table of closed-form (and, with trials > 0, Monte Carlo)
-    rates for every grid point, in grid order."""
-    columns = CSV_COLUMNS + (CSV_MC_COLUMNS if trials > 0 else ())
+def sweep(grid: list[SimConfig]) -> str:
+    """CSV table of closed-form and Monte Carlo rates (each config's
+    trials, seed and n_nodes) for every grid point, in grid order."""
     out = io.StringIO()
-    out.write(",".join(columns) + "\n")
-    for params in grid:
-        params.validate()
-        row = [_fmt(params.d), _fmt(params.f), str(params.h), str(params.r),
-               _fmt(srtr_closed_form(params)), _fmt(srd_closed_form(params))]
-        if trials > 0:
-            from .simulator import SimConfig, estimate_srd, estimate_srtr
-            cfg = SimConfig(n_nodes=n_nodes, dishonest_rate=params.d,
-                            fake_rate=params.f, num_routes=params.r,
-                            hops=params.h, trials=trials, seed=seed)
-            srtr_mc = estimate_srtr(cfg)
-            srd_mc = estimate_srd(cfg)
-            row += [_fmt(srtr_mc), _fmt(standard_error(srtr_mc, trials)),
-                    _fmt(srd_mc), _fmt(standard_error(srd_mc, trials))]
+    out.write(",".join(CSV_COLUMNS) + "\n")
+    for cfg in grid:
+        srtr_mc = estimate_srtr(cfg)
+        srd_mc = estimate_srd(cfg)
+        row = [_fmt(cfg.dishonest_rate), _fmt(cfg.fake_rate), str(cfg.hops),
+               str(cfg.num_routes), _fmt(srtr_closed_form(cfg)),
+               _fmt(srd_closed_form(cfg)),
+               _fmt(srtr_mc), _fmt(standard_error(srtr_mc, cfg.trials)),
+               _fmt(srd_mc), _fmt(standard_error(srd_mc, cfg.trials))]
         out.write(",".join(row) + "\n")
     return out.getvalue()
 

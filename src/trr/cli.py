@@ -22,8 +22,8 @@ import sys
 import threading
 import time
 
-from . import analytics, ec_crypto, node_runtime, onion_routing
-from .errors import GiveUp, InvalidConfig, SizeMismatch, TrrError
+from . import analytics, ec_crypto, node_runtime, onion_routing, simulator
+from .errors import GiveUp, SizeMismatch, TrrError
 from .wire_protocol import MAX_TX_SIZE, format_ipv4, parse_ipv4, parse_port
 
 logger = logging.getLogger("trr.cli")
@@ -153,12 +153,12 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise InvalidConfig("--trials must be at least 1")
-    grid = [analytics.RouteParams(d=args.dishonest, f=args.fake, h=h, r=r)
+    grid = [simulator.SimConfig(n_nodes=args.nodes,
+                                dishonest_rate=args.dishonest,
+                                fake_rate=args.fake, num_routes=r, hops=h,
+                                trials=args.trials, seed=args.seed)
             for h in _int_list(args.hops) for r in _int_list(args.routes)]
-    csv_text = analytics.sweep(grid, trials=args.trials, seed=args.seed,
-                               n_nodes=args.nodes)
+    csv_text = analytics.sweep(grid)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
             fh.write(csv_text)
@@ -223,14 +223,14 @@ def cmd_node(args) -> int:
     clock = FileBlockClock(args.block_file)
     node.height = clock.height()
     pubkey_hex = ec_crypto.point_to_bytes(keypair.public).hex()
-    stop = threading.Event()
     try:
-        node_runtime.serve_node(
-            node, host, port, clock, timeout=args.timeout, stop_event=stop,
+        node_runtime.run_node_server(
+            node, host, port, timeout=args.timeout,
+            stop_event=threading.Event(), clock=clock,
             on_listening=lambda: print(f"node {args.node_id} listening on "
                                        f"{args.listen}, pubkey {pubkey_hex}"))
     except KeyboardInterrupt:
-        stop.set()
+        pass  # Ctrl-C is how an operator stops a node
     return 0
 
 
@@ -255,9 +255,6 @@ def cmd_send(args) -> int:
     except SizeMismatch as exc:  # empty or oversize: no route was drawn
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except TrrError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     _print_report(report)
     return 0
 

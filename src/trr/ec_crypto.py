@@ -459,15 +459,6 @@ def deserialize_cipher(raw: bytes) -> CipherStream:
     return CipherStream(c2, tuple(blocks))
 
 
-def cipher_length(plain_len: int) -> int:
-    """Serialized single-layer size for a plaintext of plain_len bytes.
-
-    Depends on the length only, never the content.
-    """
-    chunks = -(-(plain_len + _LEN_PREFIX) // CHUNK_LEN)
-    return POINT_LEN + 4 + chunks * POINT_LEN
-
-
 # -- key files -----------------------------------------------------------
 
 def private_to_bytes(k: int) -> bytes:

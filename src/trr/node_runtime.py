@@ -135,7 +135,7 @@ class TrrNode:
         self.view = view
         self.rng = rng
         self.height = 0
-        self.pool: list[PendingRelease] = []
+        self.pool: dict[bytes, PendingRelease] = {}  # keyed by txid
         self.now = now or (lambda: int(time.time()))
         self.events: Counter[str] = Counter()  # occurrences per event kind
         self._lock = threading.Lock()
@@ -193,20 +193,24 @@ class TrrNode:
             self._log("verify_failed")
             return self._own_ack(rel.return_pubkey, errno=ERR_INVALID_TX,
                                  err_ip=me.ip, errmsg=b"verify failed")
+        tid = txid(data.tx)
         with self._lock:
-            if len(self.pool) >= POOL_CAPACITY:
-                full = True
+            release_height = self.height + data.release_delay
+            entry = self.pool.get(tid)
+            if entry is not None:  # a replay or a second route: no new entry
+                event = "already_pending"
+                release_height = entry.release_height = min(
+                    entry.release_height, release_height)
+            elif len(self.pool) < POOL_CAPACITY:
+                event = "enqueued"
+                self.pool[tid] = PendingRelease(data.tx, tid, release_height)
             else:
-                full = False
-                entry = PendingRelease(
-                    tx=data.tx, txid=txid(data.tx),
-                    release_height=self.height + data.release_delay)
-                self.pool.append(entry)
-        if full:
-            self._log("pool_full")
+                event = "pool_full"
+        if event == "pool_full":
+            self._log(event)
             return self._own_ack(rel.return_pubkey, errno=ERR_POOL_FULL,
                                  err_ip=me.ip, errmsg=b"pool full")
-        self._log("enqueued", release_height=entry.release_height,
+        self._log(event, release_height=release_height,
                   delay=data.release_delay)
         return self._own_ack(rel.return_pubkey, errno=ERR_OK, err_ip=0)
 
@@ -225,8 +229,9 @@ class TrrNode:
                 raise ValueError(
                     f"block height must increase: {height} <= {self.height}")
             self.height = height
-            due = [p for p in self.pool if p.release_height <= height]
-            self.pool = [p for p in self.pool if p.release_height > height]
+            due = [p for p in self.pool.values() if p.release_height <= height]
+            self.pool = {tid: p for tid, p in self.pool.items()
+                         if p.release_height > height}
         released = []
         for entry in due:
             if self.view.seen_in_blockchain_or_mempool(entry.txid):
@@ -349,14 +354,20 @@ class TcpTransport:
 def run_node_server(node: TrrNode, host: str, port: int, *,
                     timeout: float = DEFAULT_TIMEOUT,
                     stop_event: threading.Event,
-                    on_listening=None) -> None:
+                    on_listening=None, clock=None) -> None:
     """Accept loop for a TCP node; one thread per connection.
-    on_listening, if given, is called once the socket is bound."""
+    on_listening, if given, is called once the socket is bound.  With a
+    block clock, the loop reads it between accepts, at least every
+    POLL_INTERVAL_S, and passes each new height to node.on_new_block;
+    without one, the caller drives on_new_block.  An error that ends the
+    loop, such as a port already in use, is raised from this call."""
     with socket.create_server((host, port)) as server:
-        server.settimeout(0.2)
+        server.settimeout(POLL_INTERVAL_S)
         if on_listening is not None:
             on_listening()
         while not stop_event.is_set():
+            if clock is not None and (height := clock.height()) > node.height:
+                node.on_new_block(height)
             try:
                 sock, _ = server.accept()
             except socket.timeout:
@@ -364,34 +375,6 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
             conn = FrameSocket(sock, timeout)
             threading.Thread(target=serve_connection, args=(node, conn),
                              daemon=True).start()
-
-
-def serve_node(node: TrrNode, host: str, port: int, clock, *,
-               timeout: float = DEFAULT_TIMEOUT,
-               stop_event: threading.Event, on_listening=None) -> None:
-    """Serve TCP connections while following an external block clock;
-    an error that ends the accept loop, such as a port already in use,
-    ends this call too and is raised here.  on_listening is passed to
-    run_node_server."""
-    failure = []
-
-    def listen():
-        try:
-            run_node_server(node, host, port, timeout=timeout,
-                            stop_event=stop_event, on_listening=on_listening)
-        except Exception as exc:
-            failure.append(exc)
-
-    server = threading.Thread(target=listen, daemon=True)
-    server.start()
-    while not stop_event.is_set() and server.is_alive():
-        height = clock.height()
-        if height > node.height:
-            node.on_new_block(height)
-        time.sleep(POLL_INTERVAL_S)
-    server.join(timeout=2)
-    if failure:
-        raise failure[0]
 
 
 # -- client ----------------------------------------------------------------
@@ -435,7 +418,7 @@ class SendReport:
 
 def client_send(tx: bytes, directory: list[NodeDescriptor],
                 policy: SendPolicy, rng, *, transport, view, clock,
-                client_addr=(0, 0), now=None) -> SendReport:
+                client_addr=(0, 0)) -> SendReport:
     """Dispatch tx over policy.num_routes fresh routes, wait out the
     release delay, and retry with new routes until the transaction is
     observed in the broadcast view.
@@ -446,7 +429,6 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
     """
     if not 0 < len(tx) <= MAX_TX_SIZE:  # no node would verify it
         raise SizeMismatch(f"tx of {len(tx)} bytes, not 1..{MAX_TX_SIZE}")
-    now = now or (lambda: int(time.time()))
     tid = txid(tx)
     rounds: list[SendRound] = []
     for _ in range(policy.retry_rounds):
@@ -459,7 +441,8 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
             max_delay = max(max_delay, delay)
             attempt = RouteAttempt(
                 hop_ids=tuple(h.node_id for h in route), delay=delay)
-            onion = build_onion(tx, route, delay, return_kp, now(), rng)
+            onion = build_onion(tx, route, delay, return_kp,
+                                sent_round.dispatch_height, rng)
             first = route[0]
             try:
                 raw_ack = transport.request(first.ip, first.port, onion,

@@ -12,6 +12,12 @@ Each hop decrypts one layer, reads its routing header and either
 forwards the remaining bytes verbatim or, at dst_ip == 0, decodes the
 transaction for delayed release.  Every routing header carries the
 client's return public key so any hop can encrypt a result back.
+
+Deviation from the paper: its trr_data time field is the client's
+clock, which would tell the releasing hop when the request entered the
+network.  build_onion writes whatever now it is given, and client_send
+gives it the round's dispatch block height, which every node already
+knows; the wire format is unchanged.
 """
 
 from dataclasses import dataclass

@@ -490,7 +490,7 @@ class SimWorld:
             tx, self.directory, policy, rng or self.rng,
             transport=self.transport,
             view=NodeView(self.broadcast, "client"),
-            clock=self.clock, client_addr=self.client_addr, now=self.now)
+            clock=self.clock, client_addr=self.client_addr)
 
     def direct_send(self, tx: bytes) -> None:
         """Baseline non-TRR broadcast straight from the client; the

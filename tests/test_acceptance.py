@@ -18,10 +18,10 @@ import pytest
 from trr import ec_crypto as ec
 from trr import node_runtime as nr
 from trr import wire_protocol as wp
-from trr.analytics import RouteParams, mixing_stats, srd_closed_form, srtr_closed_form
-from trr.errors import TrrError
+from trr.analytics import chain_coverage_prob, mixing_stats, srd_closed_form, srtr_closed_form
+from trr.errors import InvalidConfig, TrrError
 from trr.node_runtime import SendPolicy
-from trr.onion_routing import build_onion
+from trr.onion_routing import MAX_HOPS, build_onion
 from trr.simulator import SimConfig, SimWorld, estimate_srd, estimate_srtr, sybil_first_spreader
 
 from pathlib import Path
@@ -57,7 +57,8 @@ REPRODUCIBLE_RELEASE_RATES = [
 def test_criterion_1_srtr_closed_form():
     deltas = []
     for d, r, h, reference, tol in REPRODUCIBLE_RELEASE_RATES:
-        value = pct(srtr_closed_form(RouteParams(d=d, h=h, r=r)))
+        value = pct(srtr_closed_form(SimConfig(dishonest_rate=d, hops=h,
+                                               num_routes=r)))
         deltas.append(abs(value - reference))
         assert abs(value - reference) <= tol, (d, r, h, value, reference)
     check("criterion 1 (SRTR closed form, reproducible points)", True,
@@ -73,7 +74,8 @@ def test_criterion_1_srtr_closed_form():
     (0.1, 2, 5, 83.22),
 ])
 def test_criterion_1_unreproducible_reference_points(d, r, h, reference):
-    value = pct(srtr_closed_form(RouteParams(d=d, h=h, r=r)))
+    value = pct(srtr_closed_form(SimConfig(dishonest_rate=d, hops=h,
+                                           num_routes=r)))
     print(f"[acceptance] criterion 1 (reference {reference} at r={r},h={h}): "
           f"FAIL expected, formula gives {value:.4f}")
     assert abs(value - reference) <= 0.01
@@ -97,20 +99,29 @@ def deanonymization_route_prob_brute(f: Fraction, h: int) -> Fraction:
 
 
 def test_criterion_2_srd_closed_form():
-    low = [srd_closed_form(RouteParams(f=0.1, h=h, r=3)) for h in (2, 3, 4, 5)]
+    low = [srd_closed_form(SimConfig(fake_rate=0.1, hops=h)) for h in (2, 3, 4, 5)]
     assert abs(low[0] - 0.0297) <= 0.0005 and low[0] <= 0.030
     assert abs(low[1] - 0.0297) <= 0.0005 and low[1] <= 0.030
     assert low[2] <= 0.006 and low[3] <= 0.006
     for h in (2, 3):
-        value = pct(srd_closed_form(RouteParams(f=0.3, h=h, r=3)))
+        value = pct(srd_closed_form(SimConfig(fake_rate=0.3, hops=h)))
         assert abs(value - 24.6) <= 0.05, (h, value)
     # substitute property for the non-reproducible h=4,5 figures:
-    # exact rational agreement with enumeration everywhere
+    # exact rational agreement with enumeration everywhere.  Routes longer
+    # than MAX_HOPS are no valid SimConfig, so there the per-route formula
+    # behind srd_closed_form is checked, and the closed form must refuse
     checked = 0
     for h in range(1, 13):
         for i in range(1, 20):
             f = Fraction(i, 20)  # 0.05 .. 0.95
-            got = srd_closed_form(RouteParams(f=f, h=h, r=1))
+            if h <= MAX_HOPS:
+                got = srd_closed_form(SimConfig(fake_rate=f, hops=h,
+                                                num_routes=1))
+            else:
+                with pytest.raises(InvalidConfig):
+                    srd_closed_form(SimConfig(fake_rate=f, hops=h,
+                                              num_routes=1))
+                got = f * f * chain_coverage_prob(f, h - 2)
             want = deanonymization_route_prob_brute(f, h)
             assert got == want, (f, h, got, want)
             checked += 1
@@ -120,6 +131,7 @@ def test_criterion_2_srd_closed_form():
 
 # -- criterion 3: Monte Carlo vs closed forms --------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_monte_carlo_grid():
     trials = 100_000
     t0 = time.perf_counter()
@@ -128,15 +140,15 @@ def test_criterion_3_monte_carlo_grid():
     grid = itertools.product((0.1, 0.2, 0.3), (2, 3, 4, 5), (1, 2, 3))
     for idx, (rate, h, r) in enumerate(grid):
         # one independent seed per cell
-        mc = estimate_srtr(SimConfig(dishonest_rate=rate, num_routes=r,
-                                     hops=h, trials=trials, seed=2 * idx))
-        cf = srtr_closed_form(RouteParams(d=rate, h=h, r=r))
+        cfg = SimConfig(dishonest_rate=rate, num_routes=r, hops=h,
+                        trials=trials, seed=2 * idx)
+        mc, cf = estimate_srtr(cfg), srtr_closed_form(cfg)
         se = (cf * (1 - cf) / trials) ** 0.5
         assert abs(mc - cf) <= 3 * se, ("srtr", rate, h, r, mc, cf)
         worst = max(worst, abs(mc - cf) / se)
-        mc = estimate_srd(SimConfig(fake_rate=rate, num_routes=r,
-                                    hops=h, trials=trials, seed=2 * idx + 1))
-        cf = srd_closed_form(RouteParams(f=rate, h=h, r=r))
+        cfg = SimConfig(fake_rate=rate, num_routes=r, hops=h, trials=trials,
+                        seed=2 * idx + 1)
+        mc, cf = estimate_srd(cfg), srd_closed_form(cfg)
         se = (cf * (1 - cf) / trials) ** 0.5
         assert abs(mc - cf) <= 3 * se, ("srd", rate, h, r, mc, cf)
         worst = max(worst, abs(mc - cf) / se)
@@ -152,6 +164,7 @@ def test_criterion_3_monte_carlo_grid():
 TABLE_SIZES = (8, 32, 64, 128, 256, 1024, 4096, 10240)
 
 
+@pytest.mark.slow
 def test_criterion_4_five_layer_roundtrip():
     rng = random.Random(0xACCE)
     t0 = time.perf_counter()
@@ -216,6 +229,7 @@ def test_criterion_6_performance():
 
 # -- criterion 7: Sybil anonymity --------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_sybil_anonymity():
     t0 = time.perf_counter()
     world = SimWorld(SimConfig(n_nodes=40, seed=0x5B))

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from trr.analytics import (
-    RouteParams,
     chain_coverage_prob,
     mixing_stats,
     srd_closed_form,
@@ -15,6 +14,8 @@ from trr.analytics import (
     sweep,
 )
 from trr.errors import DelayOutOfRange, InvalidConfig
+from trr.onion_routing import MAX_HOPS
+from trr.simulator import SimConfig
 
 
 def srd_route_prob_brute(f: Fraction, h: int) -> Fraction:
@@ -34,24 +35,31 @@ def srd_route_prob_brute(f: Fraction, h: int) -> Fraction:
 
 class TestSrtr:
     def test_reference_values(self):
-        assert abs(srtr_closed_form(RouteParams(d=0.1, h=3, r=3)) - 0.9801) < 1e-4
-        assert abs(srtr_closed_form(RouteParams(d=0.3, h=4, r=3)) - 0.561) < 5e-4
+        assert abs(srtr_closed_form(SimConfig(dishonest_rate=0.1, hops=3))
+                   - 0.9801) < 1e-4
+        assert abs(srtr_closed_form(SimConfig(dishonest_rate=0.3, hops=4))
+                   - 0.561) < 5e-4
 
     def test_single_hop_single_route(self):
         for d in (0.0, 0.25, 0.9):
-            assert srtr_closed_form(RouteParams(d=d, h=1, r=1)) == pytest.approx(1 - d)
+            cfg = SimConfig(dishonest_rate=d, hops=1, num_routes=1)
+            assert srtr_closed_form(cfg) == pytest.approx(1 - d)
 
     def test_monotonicities(self):
         grid_d = [0.05 * i for i in range(1, 19)]
         for h, r in [(3, 2), (5, 3)]:
-            values = [srtr_closed_form(RouteParams(d=d, h=h, r=r)) for d in grid_d]
+            values = [srtr_closed_form(SimConfig(dishonest_rate=d, hops=h,
+                                                 num_routes=r))
+                      for d in grid_d]
             assert all(a > b for a, b in zip(values, values[1:]))
         for d, r in [(0.2, 2)]:
-            values = [srtr_closed_form(RouteParams(d=d, h=h, r=r))
+            values = [srtr_closed_form(SimConfig(dishonest_rate=d, hops=h,
+                                                 num_routes=r))
                       for h in range(1, 11)]
             assert all(a > b for a, b in zip(values, values[1:]))
         for d, h in [(0.2, 4)]:
-            values = [srtr_closed_form(RouteParams(d=d, h=h, r=r))
+            values = [srtr_closed_form(SimConfig(dishonest_rate=d, hops=h,
+                                                 num_routes=r))
                       for r in range(1, 6)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -59,21 +67,25 @@ class TestSrtr:
         for d in (0.0, 0.3, 1.0):
             for h in (1, 5, 10):
                 for r in (1, 3):
-                    v = srtr_closed_form(RouteParams(d=d, h=h, r=r))
+                    v = srtr_closed_form(SimConfig(dishonest_rate=d, hops=h,
+                                                   num_routes=r))
                     assert 0.0 <= v <= 1.0
 
 
 class TestSrd:
     def test_reference_values(self):
-        assert srd_closed_form(RouteParams(f=0.1, h=2, r=3)) == pytest.approx(0.0297, abs=1e-4)
-        assert srd_closed_form(RouteParams(f=0.3, h=3, r=3)) == pytest.approx(0.2464, abs=1e-4)
-        assert srd_closed_form(RouteParams(f=0.3, h=5, r=3)) == pytest.approx(0.0948, abs=1e-4)
+        assert srd_closed_form(SimConfig(fake_rate=0.1, hops=2)) \
+            == pytest.approx(0.0297, abs=1e-4)
+        assert srd_closed_form(SimConfig(fake_rate=0.3, hops=3)) \
+            == pytest.approx(0.2464, abs=1e-4)
+        assert srd_closed_form(SimConfig(fake_rate=0.3, hops=5)) \
+            == pytest.approx(0.0948, abs=1e-4)
 
     def test_exact_match_with_brute_force(self):
         for h in range(1, 9):
             for i in range(1, 10):
                 f = Fraction(i, 10)
-                got = srd_closed_form(RouteParams(f=f, h=h, r=1))
+                got = srd_closed_form(SimConfig(fake_rate=f, hops=h, num_routes=1))
                 assert got == srd_route_prob_brute(f, h), (f, h)
 
     def test_coverage_prob_bounds_and_monotone(self):
@@ -82,10 +94,22 @@ class TestSrd:
             assert all(f ** m <= v <= 1 for m, v in enumerate(values))
             assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_closed_forms_reject_what_the_protocol_rejects(self):
+        # SimConfig.validate is the one check: hops above MAX_HOPS, rates
+        # summing past 1 and an empty population all raise
+        for cfg in (SimConfig(hops=MAX_HOPS + 1),
+                    SimConfig(dishonest_rate=0.6, fake_rate=0.6),
+                    SimConfig(n_nodes=2, hops=3)):
+            with pytest.raises(InvalidConfig):
+                srd_closed_form(cfg)
+            with pytest.raises(InvalidConfig):
+                srtr_closed_form(cfg)
+        assert srd_closed_form(SimConfig(fake_rate=0.5, hops=MAX_HOPS)) > 0
+
     def test_bounds(self):
         for f in (0.0, 0.5, 1.0):
             for h in (1, 4, 10):
-                v = srd_closed_form(RouteParams(f=f, h=h, r=3))
+                v = srd_closed_form(SimConfig(fake_rate=f, hops=h))
                 assert 0.0 <= v <= 1.0
 
 
@@ -100,45 +124,50 @@ class TestMixingStats:
             mixing_stats(delay, 945)
 
 
+HEADER = "d,f,h,r,srtr_cf,srd_cf,srtr_mc,srtr_se,srd_mc,srd_se"
+
+
 class TestSweep:
     def test_release_rate_grid_30_rows(self):
-        grid = [RouteParams(d=0.1, h=h, r=r)
+        grid = [SimConfig(dishonest_rate=0.1, hops=h, num_routes=r)
                 for h in range(1, 11) for r in (1, 2, 3)]
         lines = sweep(grid).strip().split("\n")
-        assert lines[0] == "d,f,h,r,srtr_cf,srd_cf"
+        assert lines[0] == HEADER
         assert len(lines) == 31
 
     def test_observer_rate_grid_12_rows(self):
-        grid = [RouteParams(f=f, h=h, r=3)
+        grid = [SimConfig(fake_rate=f, hops=h, num_routes=3)
                 for f in (0.1, 0.2, 0.3) for h in (2, 3, 4, 5)]
         lines = sweep(grid).strip().split("\n")
         assert len(lines) == 13
 
     def test_empty_grid_header_only(self):
-        assert sweep([]) == "d,f,h,r,srtr_cf,srd_cf\n"
+        assert sweep([]) == HEADER + "\n"
 
     def test_monte_carlo_columns(self):
-        grid = [RouteParams(d=0.2, h=2, r=2)]
-        text = sweep(grid, trials=5_000, seed=4, n_nodes=500)
-        header, row = text.strip().split("\n")
-        assert header.endswith("srtr_mc,srtr_se,srd_mc,srd_se")
+        grid = [SimConfig(n_nodes=500, dishonest_rate=0.2, num_routes=2,
+                          hops=2, trials=5_000, seed=4)]
+        header, row = sweep(grid).strip().split("\n")
+        assert header == HEADER
         values = dict(zip(header.split(","), row.split(",")))
         assert abs(float(values["srtr_mc"]) - float(values["srtr_cf"])) < 0.03
         assert float(values["srd_mc"]) == 0.0  # no observers configured
 
     def test_values_parse_losslessly(self):
-        grid = [RouteParams(d=1 / 3, f=0.123456789, h=4, r=2)]
-        header, row = sweep(grid).strip().split("\n")
+        cfg = SimConfig(dishonest_rate=1 / 3, fake_rate=0.123456789, hops=4,
+                        num_routes=2)
+        header, row = sweep([cfg]).strip().split("\n")
         values = dict(zip(header.split(","), row.split(",")))
         # 6 significant digits
         assert values["d"] == "0.333333"
         assert values["f"] == "0.123457"
-        cf = srtr_closed_form(RouteParams(d=1 / 3, f=0.123456789, h=4, r=2))
+        cf = srtr_closed_form(cfg)
         assert float(values["srtr_cf"]) == pytest.approx(cf, rel=1e-5)
 
     def test_invalid_grid_point(self):
         with pytest.raises(InvalidConfig):
-            sweep([RouteParams(d=0.8, f=0.8, h=2, r=1)])
+            sweep([SimConfig(dishonest_rate=0.8, fake_rate=0.8, hops=2,
+                             num_routes=1)])
 
 
 def test_standard_error():

@@ -255,19 +255,21 @@ class TestNode:
         public = ec.point_from_bytes((tmp_path / "relay.pub").read_bytes())
         (tmp_path / "block").write_text("7\n")
         served = []
-        monkeypatch.setattr(nr, "serve_node", lambda node, host, port, clock, *,
-                            on_listening, **kwargs:
-                            served.append((node, host, port)) or on_listening())
+        monkeypatch.setattr(nr, "run_node_server", lambda node, host, port, *,
+                            on_listening, clock, **kwargs:
+                            served.append((node, host, port, clock))
+                            or on_listening())
         assert main(["node", "--key", str(prefix), "--listen", "127.0.0.1:9001",
                      "--node-id", "relay", "--broadcast", str(tmp_path / "bc"),
                      "--block-file", str(tmp_path / "block")]) == 0
-        ((node, host, port),) = served
+        ((node, host, port, clock),) = served
         assert (host, port) == ("127.0.0.1", 9001)
         assert node.keypair.public == public
         assert node.descriptor == NodeDescriptor(
             node_id="relay", ip=parse_ipv4("127.0.0.1"), port=9001,
             pubkey=public)
         assert node.height == 7
+        assert clock.height() == 7  # the node follows the block file
         assert ec.point_to_bytes(public).hex() in capsys.readouterr().out
 
     @pytest.mark.parametrize("listen", ["127.0.0.1:70000", "127.0.0.1:0",
@@ -278,7 +280,7 @@ class TestNode:
         prefix = tmp_path / "relay"
         assert main(["keygen", "--out", str(prefix)]) == 0
         served = []
-        monkeypatch.setattr(nr, "serve_node", lambda *args, **kwargs:
+        monkeypatch.setattr(nr, "run_node_server", lambda *args, **kwargs:
                             served.append(args))
         assert main(["node", "--key", str(prefix), "--listen", listen,
                      "--broadcast", str(tmp_path / "bc"),
@@ -328,8 +330,8 @@ def cluster(tmp_path, monkeypatch):
                           random.Random(5000 + i))
         clock = FileBlockClock(str(block_file))
         thread = threading.Thread(
-            target=nr.serve_node, args=(node, "127.0.0.1", port, clock),
-            kwargs={"timeout": 3.0, "stop_event": stop},
+            target=nr.run_node_server, args=(node, "127.0.0.1", port),
+            kwargs={"timeout": 3.0, "stop_event": stop, "clock": clock},
             daemon=True)
         thread.start()
         threads.append(thread)

@@ -20,8 +20,8 @@ from trr.errors import (
     SizeMismatch,
     TrrTimeout,
 )
-from trr.onion_routing import NodeDescriptor, build_onion, decrypt_ack
-from trr.simulator import BLOCK_INTERVAL_TICKS, SimConfig, SimWorld
+from trr.onion_routing import NodeDescriptor, Release, build_onion, decrypt_ack
+from trr.simulator import BLOCK_INTERVAL_TICKS, SimConfig, SimNode, SimWorld
 from trr.wire_protocol import MAX_FRAME_PAYLOAD, frame_message, parse_ipv4
 
 CLIENT_ADDR = (parse_ipv4("192.168.0.1"), 9)
@@ -103,7 +103,7 @@ class TestHandleRequest:
         assert ack.errno == nr.ERR_OK
         assert ack.rpt_ip == node.descriptor.ip
         assert len(node.pool) == before + 1
-        entry = node.pool[-1]
+        entry = node.pool[nr.txid(b"the tx")]
         assert entry.tx == b"the tx"
         assert entry.release_height == node.height + 4
 
@@ -128,12 +128,43 @@ class TestHandleRequest:
     def test_pool_capacity_boundary(self, world):
         assert nr.POOL_CAPACITY == 1000
         node = world.nodes[4]
-        filler = nr.PendingRelease(b"x", nr.txid(b"x"), 99)
-        node.pool = [filler] * nr.POOL_CAPACITY  # the 1001st must bounce
+        fillers = [i.to_bytes(2, "big") for i in range(nr.POOL_CAPACITY)]
+        node.pool = {nr.txid(tx): nr.PendingRelease(tx, nr.txid(tx), 99)
+                     for tx in fillers}  # the 1001st distinct tx must bounce
         onion, ret = make_onion(world, [4], b"tx")
         ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret.private)
         assert ack.errno == nr.ERR_POOL_FULL
         assert len(node.pool) == nr.POOL_CAPACITY
+        # a tx already pending is no new entry, so a full pool still takes it
+        onion, ret = make_onion(world, [4], fillers[7], delay=2)
+        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret.private)
+        assert ack.errno == nr.ERR_OK
+        assert len(node.pool) == nr.POOL_CAPACITY
+        assert node.pool[nr.txid(fillers[7])].release_height == node.height + 2
+
+    def test_second_enqueue_keeps_one_entry(self, world):
+        node = world.nodes[11]
+        for delay, kept in [(4, 4), (2, 2), (5, 2)]:  # the earlier height wins
+            onion, ret = make_onion(world, [11], b"one tx", delay=delay)
+            ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR),
+                              ret.private)
+            assert ack.errno == nr.ERR_OK
+            assert [p.release_height for p in node.pool.values()] == [kept]
+        assert node.events["enqueued"] == 1
+        assert node.events["already_pending"] == 2
+
+    def test_replayed_first_hop_packet_fills_no_pool(self, world, monkeypatch):
+        monkeypatch.setattr(nr, "POOL_CAPACITY", 3)
+        onion, ret = make_onion(world, [0, 1, 2], b"replayed tx")
+        first = world.directory[0]
+        acks = [decrypt_ack(world.transport.request(first.ip, first.port,
+                                                    onion, CLIENT_ADDR),
+                            ret.private)
+                for _ in range(5)]  # one capture, replayed
+        assert [ack.errno for ack in acks] == [nr.ERR_OK] * 5
+        releasing = world.nodes[2]
+        assert list(releasing.pool) == [nr.txid(b"replayed tx")]
+        assert releasing.events["already_pending"] == 4
 
     def test_invalid_tx_rejected(self, world):
         node = world.nodes[5]
@@ -187,7 +218,7 @@ class TestOnNewBlock:
         node.view.verify = lambda tx: False  # e.g. its inputs got spent
         assert node.on_new_block(node.height + 1) == []
         assert world.broadcast.log == []
-        assert node.pool == []
+        assert node.pool == {}
         assert node.events["release_skipped_invalid"] == 1
 
     def test_height_must_increase(self, world):
@@ -307,6 +338,20 @@ class TestClientSend:
         assert not report.success
         assert report.total_rounds == 3
 
+    def test_releasing_hop_reads_dispatch_height_not_clock(self, world,
+                                                           monkeypatch):
+        released = []
+        monkeypatch.setattr(SimNode, "_observe_request",
+                            lambda node, src_addr, peeled:
+                            released.append(peeled.trr_data)
+                            if isinstance(peeled, Release) else None)
+        for _ in range(3):
+            world.clock.advance_block()
+        report = world.send(b"timed tx", nr.SendPolicy(num_routes=2, hops=2))
+        dispatch = report.rounds[0].dispatch_height
+        assert dispatch == 3 and world.clock.tick > 300
+        assert [d.time for d in released] == [dispatch, dispatch]
+
     def test_release_never_before_first_block(self, world):
         world.send(b"slow tx", nr.SendPolicy(num_routes=3, hops=2,
                                              delays=(1, 3, 5)))
@@ -414,7 +459,7 @@ class TestFrameSocket:
             raw = nr.TcpTransport(timeout=2.0).request(LOOPBACK, port, onion)
             ack = decrypt_ack(raw, ret.private)
             assert ack.errno == nr.ERR_OK
-            assert [p.tx for p in node.pool] == [b"tcp tx"]
+            assert [p.tx for p in node.pool.values()] == [b"tcp tx"]
             assert server.is_alive()  # this server answered, not another one
 
     def test_on_listening_runs_once_bound(self, world):

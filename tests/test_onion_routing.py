@@ -130,6 +130,7 @@ class TestOnion:
             final, _ = build_and_peel(tx, hops, keypool, directory, rng)
             assert final.trr_data.tx == tx
 
+    @pytest.mark.slow
     def test_roundtrip_thousand_pairs(self, keypool, directory):
         # peel composition is exact for a thousand random (tx, route) pairs
         rng = random.Random(101)

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from trr import ec_crypto as ec
 from trr import node_runtime as nr
 from trr import simulator
-from trr.analytics import RouteParams, srd_closed_form, srtr_closed_form
+from trr.analytics import srd_closed_form, srtr_closed_form
 from trr.errors import GiveUp, InvalidConfig, NotObserved
 from trr.node_runtime import SendPolicy
-from trr.onion_routing import MAX_HOPS, NodeDescriptor, build_onion
+from trr.onion_routing import MAX_HOPS, NodeDescriptor, build_onion, decrypt_ack
 from trr.simulator import (
     DISHONEST_MODES,
     FAKE_TRR,
@@ -97,7 +97,7 @@ class TestEstimators:
         for d, h, r in [(0.2, 3, 2), (0.3, 5, 3)]:
             cfg = SimConfig(dishonest_rate=d, num_routes=r, hops=h,
                             trials=40_000, seed=3)
-            cf = srtr_closed_form(RouteParams(d=d, h=h, r=r))
+            cf = srtr_closed_form(cfg)
             se = (cf * (1 - cf) / cfg.trials) ** 0.5
             assert abs(estimate_srtr(cfg) - cf) < 4 * se
 
@@ -105,7 +105,7 @@ class TestEstimators:
         for f, h, r in [(0.1, 2, 3), (0.3, 4, 3)]:
             cfg = SimConfig(fake_rate=f, num_routes=r, hops=h,
                             trials=40_000, seed=3)
-            cf = srd_closed_form(RouteParams(f=f, h=h, r=r))
+            cf = srd_closed_form(cfg)
             se = (cf * (1 - cf) / cfg.trials) ** 0.5
             assert abs(estimate_srd(cfg) - cf) < 4 * se
 
@@ -401,7 +401,7 @@ class TestLazyWorld:
         tx = b"late node tx"
         node.serve_request(build_onion(tx, (world.directory[21],), 2,
                                        ec.keygen_even(rng), 0, rng), (1, 1))
-        assert [p.release_height for p in node.pool] == [5]
+        assert [p.release_height for p in node.pool.values()] == [5]
         world.clock.advance_block()
         assert not world.broadcast.log
         world.clock.advance_block()
@@ -569,8 +569,8 @@ class TestSybilObserver:
 class TestNodeEventPrivacy:
     EVENT_KINDS = {"peel_failed", "received", "forwarded", "forward_failed",
                    "verify_failed", "pool_full", "enqueued", "acked",
-                   "release_skipped_duplicate", "release_skipped_invalid",
-                   "released", "withheld_release"}
+                   "already_pending", "release_skipped_duplicate",
+                   "release_skipped_invalid", "released", "withheld_release"}
 
     def sends(self):
         world = SimWorld(SimConfig(n_nodes=30, dishonest_rate=0.2,
@@ -611,15 +611,18 @@ class TestNodeEventPrivacy:
 
 class TestPoolInvariant:
     def test_pool_never_exceeds_capacity(self, monkeypatch):
-        monkeypatch.setattr(nr, "POOL_CAPACITY", 1)
+        monkeypatch.setattr(nr, "POOL_CAPACITY", 2)
         world = SimWorld(SimConfig(n_nodes=12, seed=60))
-        for i in range(30):
-            try:
-                world.send(bytes([i + 1]) * 8,
-                           SendPolicy(num_routes=2, hops=2, delays=(5, 5),
-                                      retry_rounds=1))
-            except GiveUp:
-                pass
-            assert all(len(n.pool) <= 1 for n in world.nodes)
-        # the cap binds when both routes end at the same node
-        assert any(e["event"] == "pool_full" for e in world.trace)
+        node, rng = world.nodes[5], random.Random(60)
+        errnos = []
+        for i in range(6):  # distinct txs, each served straight to node 5
+            return_kp = ec.keygen_even(rng)
+            onion = build_onion(bytes([i + 1]) * 8, (world.directory[5],), 5,
+                                return_kp, 0, rng)
+            errnos.append(decrypt_ack(node.serve_request(onion, (1, 1)),
+                                      return_kp.private).errno)
+            assert len(node.pool) <= 2
+        assert errnos == [nr.ERR_OK] * 2 + [nr.ERR_POOL_FULL] * 4
+        assert node.events["pool_full"] == 4
+        world.clock.wait_for(5)  # the two pending txs release
+        assert not node.pool and len(world.broadcast.log) == 2
