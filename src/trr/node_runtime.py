@@ -23,7 +23,6 @@ import json
 import logging
 import socket
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -61,7 +60,6 @@ from .wire_protocol import (
     frame_message,
     parse_frame,
     parse_frame_header,
-    parse_ipv4,
 )
 
 logger = logging.getLogger("trr.node")
@@ -128,7 +126,7 @@ class TrrNode:
     """One relay node: peels layers, forwards or releases."""
 
     def __init__(self, keypair: KeyPair, descriptor: NodeDescriptor,
-                 transport, view, rng, *, now=None):
+                 transport, view, rng):
         self.keypair = keypair
         self.descriptor = descriptor
         self.transport = transport
@@ -136,7 +134,6 @@ class TrrNode:
         self.rng = rng
         self.height = 0
         self.pool: dict[bytes, PendingRelease] = {}  # keyed by txid
-        self.now = now or (lambda: int(time.time()))
         self.events: Counter[str] = Counter()  # occurrences per event kind
         self._lock = threading.Lock()
 
@@ -216,7 +213,7 @@ class TrrNode:
 
     def _own_ack(self, return_pubkey: bytes, *, errno: int, err_ip: int,
                  errmsg: bytes = b"") -> bytes:
-        ack = TrrAck(version=1, time=self.now(), rpt_ip=self.descriptor.ip,
+        ack = TrrAck(version=1, time=self.height, rpt_ip=self.descriptor.ip,
                      err_ip=err_ip, errno=errno, errmsg=errmsg)
         self._log("acked", errno=errno)
         return encrypt_ack(ack, return_key_point(return_pubkey), self.rng)
@@ -260,7 +257,7 @@ def serve_connection(node: TrrNode, conn) -> None:
         command, payload = conn.recv_frame()
         if command != "trr":
             return
-        ack = node.serve_request(payload, src_addr=conn.peer_addr())
+        ack = node.serve_request(payload)
         conn.send_frame("track", ack)
     except TrrError:
         return  # refused, timed out, or unpeelable: close without a reply
@@ -316,13 +313,6 @@ class FrameSocket:
                 raise PeerClosed("connection closed mid-frame")
             buf += chunk
         return bytes(buf)
-
-    def peer_addr(self):
-        try:
-            host, port = self._sock.getpeername()[:2]
-            return parse_ipv4(host), port
-        except (OSError, ValueError):
-            return None
 
     def close(self) -> None:
         try:
@@ -417,8 +407,8 @@ class SendReport:
 
 
 def client_send(tx: bytes, directory: list[NodeDescriptor],
-                policy: SendPolicy, rng, *, transport, view, clock,
-                client_addr=(0, 0)) -> SendReport:
+                policy: SendPolicy, rng, *, transport, view,
+                clock) -> SendReport:
     """Dispatch tx over policy.num_routes fresh routes, wait out the
     release delay, and retry with new routes until the transaction is
     observed in the broadcast view.
@@ -445,8 +435,7 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
                                 sent_round.dispatch_height, rng)
             first = route[0]
             try:
-                raw_ack = transport.request(first.ip, first.port, onion,
-                                            src_addr=client_addr)
+                raw_ack = transport.request(first.ip, first.port, onion)
                 attempt.ack = decrypt_ack(raw_ack, return_kp.private)
             except TrrError as exc:
                 attempt.error = f"{type(exc).__name__}: {exc}"

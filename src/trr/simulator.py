@@ -318,15 +318,17 @@ class SimNode(TrrNode):
     record per request it serves to the ledger, and every node appends
     each event, tick-stamped, to the world's trace."""
 
-    def __init__(self, *args, behavior, ledger, trace, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, behavior, ledger, trace, clock):
+        super().__init__(*args)
         self.behavior = behavior
         self.ledger = ledger
         self.trace = trace
+        self.clock = clock
+        self.height = clock.height()
 
     def _log(self, event: str, **fields) -> None:
         super()._log(event, **fields)
-        self.trace.append({"tick": self.now(), "event": event,
+        self.trace.append({"tick": self.clock.tick, "event": event,
                            "node": self.descriptor.node_id, **fields})
 
     def _observe_request(self, src_addr, peeled) -> None:
@@ -404,7 +406,8 @@ class InProcessTransport:
         if node.behavior == "drop_data":
             raise TrrTimeout(f"node {node.descriptor.node_id} went silent")
         try:
-            return node.serve_request(packet, src_addr=src_addr)
+            return node.serve_request(packet,
+                                      src_addr=src_addr or self._world.client_addr)
         except (MalformedCipher, MalformedRouting) as exc:
             raise PeerClosed(
                 f"node {node.descriptor.node_id} closed: {exc}") from exc
@@ -444,7 +447,6 @@ class SimWorld:
         # apart from self.rng so the client's draws do not depend on acks
         self.node_rng = random.Random(trial_seed(cfg.seed, 1))
         self.clock = SimClock(self)
-        self.now = lambda: self.clock.tick
         self.broadcast = SimBroadcast(self)
         self.transport = InProcessTransport(self)
         self.attack_ledger = AttackLedger()
@@ -473,9 +475,8 @@ class SimWorld:
                                     port=NODE_PORT, pubkey=keypair.public)
         node = SimNode(keypair, descriptor, self.transport,
                        NodeView(self.broadcast, node_id), self.node_rng,
-                       now=self.now, behavior=behavior,
-                       ledger=self.attack_ledger, trace=self.trace)
-        node.height = self.clock.height()
+                       behavior=behavior, ledger=self.attack_ledger,
+                       trace=self.trace, clock=self.clock)
         node.listed = descriptor
         if behavior == "wrong_pubkey":  # the directory lies
             node.listed = replace(descriptor,
@@ -489,8 +490,7 @@ class SimWorld:
         return client_send(
             tx, self.directory, policy, rng or self.rng,
             transport=self.transport,
-            view=NodeView(self.broadcast, "client"),
-            clock=self.clock, client_addr=self.client_addr)
+            view=NodeView(self.broadcast, "client"), clock=self.clock)
 
     def direct_send(self, tx: bytes) -> None:
         """Baseline non-TRR broadcast straight from the client; the

@@ -41,7 +41,8 @@ def make_onion(world, route_ids, tx, delay=1, seed=5, extra_hops=()):
 
 
 class FakeConn:
-    """Scripted inbound connection for serve_connection tests."""
+    """Scripted inbound connection for serve_connection tests; like
+    FrameSocket, it offers no way to read the peer's address."""
 
     def __init__(self, frames):
         self.inbox = list(frames)
@@ -56,9 +57,6 @@ class FakeConn:
     def send_frame(self, command, payload):
         self.sent.append((command, payload))
 
-    def peer_addr(self):
-        return CLIENT_ADDR
-
     def close(self):
         self.closed = True
 
@@ -72,6 +70,23 @@ class TestServeConnection:
         assert [c for c, _ in conn.sent] == ["vertrr", "track"]
         ack = decrypt_ack(conn.sent[1][1], ret.private)
         assert ack.errno == nr.ERR_OK
+
+    def test_serves_connection_without_peer_address(self, world):
+        assert not hasattr(FakeConn, "peer_addr")
+        assert not hasattr(nr.FrameSocket, "peer_addr")
+        onion, ret = make_onion(world, [0, 1], b"tx bytes")
+        conn = FakeConn([("vertrr", b""), ("trr", onion)])
+        nr.serve_connection(world.nodes[0], conn)
+        ack = decrypt_ack(conn.sent[1][1], ret.private)
+        assert (ack.errno, ack.rpt_ip) == (nr.ERR_OK, world.directory[1].ip)
+
+    def test_ack_time_is_node_block_height(self, world):
+        node = world.nodes[0]
+        node.on_new_block(7)
+        onion, ret = make_onion(world, [0], b"tx bytes")
+        conn = FakeConn([("vertrr", b""), ("trr", onion)])
+        nr.serve_connection(node, conn)
+        assert decrypt_ack(conn.sent[1][1], ret.private).time == 7
 
     def test_first_frame_not_vertrr_refused(self, world):
         onion, _ = make_onion(world, [0], b"tx")
@@ -166,6 +181,17 @@ class TestHandleRequest:
         assert list(releasing.pool) == [nr.txid(b"replayed tx")]
         assert releasing.events["already_pending"] == 4
 
+    def test_ack_time_is_block_height_in_process(self, world):
+        for _ in range(4):
+            world.clock.advance_block()
+        onion, ret = make_onion(world, [3, 5], b"timed tx")
+        first = world.directory[3]
+        ack = decrypt_ack(world.transport.request(first.ip, first.port, onion),
+                          ret.private)
+        assert ack.rpt_ip == world.directory[5].ip
+        assert ack.time == world.nodes[5].height == 4
+        assert world.clock.tick > 400  # the tick is no ack's time
+
     def test_invalid_tx_rejected(self, world):
         node = world.nodes[5]
         node.view.verify = lambda tx: False
@@ -256,8 +282,7 @@ class TestNodeMemory:
                               ec.keygen_even(rng), now=0, rng=rng)
                   for _ in range(200)]
         view = MemoryView()
-        node = nr.TrrNode(keypair, me, None, view, random.Random(3),
-                          now=lambda: 0)
+        node = nr.TrrNode(keypair, me, None, view, random.Random(3))
 
         def serve(first, last):
             for i in range(first, last + 1):
@@ -359,31 +384,35 @@ class TestClientSend:
         assert all(tick >= BLOCK_INTERVAL_TICKS
                    for tick, _, _ in world.broadcast.log)
 
-    def test_no_amplification_and_no_plaintext_exposure(self, world):
+    def test_no_amplification_and_no_plaintext_exposure(self, world,
+                                                        monkeypatch):
         tx = b"\xabsecret transaction payload\xcd" * 4
-        packets = []
+        packets, sources = [], []
         orig = world.transport.request
 
         def recording(ip, port, packet, src_addr=None):
-            packets.append((ip, port, bytes(packet), src_addr))
+            packets.append((ip, port, bytes(packet)))
             return orig(ip, port, packet, src_addr=src_addr)
 
         world.transport.request = recording
+        # the source a node is handed when it receives the request
+        monkeypatch.setattr(SimNode, "_observe_request",
+                            lambda node, src_addr, peeled:
+                            sources.append(src_addr))
         policy = nr.SendPolicy(num_routes=2, hops=3, delays=(1, 1))
         report = world.send(tx, policy)
         assert report.success
         # exactly hops messages per route, none carrying the plaintext
         assert len(packets) == policy.num_routes * policy.hops
-        assert all(tx not in pkt for _, _, pkt, _ in packets)
+        assert all(tx not in pkt for _, _, pkt in packets)
         # packets arrive route by route and hop by hop: only a first hop
         # hears the client, the releasing hop hears the middle hop
         for r, attempt in enumerate(report.rounds[0].attempts):
             hops = [(world.directory[i].ip, world.directory[i].port)
                     for i in attempt.hop_ids]
-            route_packets = packets[r * policy.hops:(r + 1) * policy.hops]
-            assert [(ip, port) for ip, port, _, _ in route_packets] == hops
-            assert [src for *_, src in route_packets] == \
-                [world.client_addr] + hops[:-1]
+            route = slice(r * policy.hops, (r + 1) * policy.hops)
+            assert [(ip, port) for ip, port, _ in packets[route]] == hops
+            assert sources[route] == [world.client_addr] + hops[:-1]
 
 
 class TestFrameSocket:
