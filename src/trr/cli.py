@@ -16,6 +16,7 @@ that an operator, cron job or test advances by hand.
 
 import argparse
 import logging
+import math
 import os
 import random
 import sys
@@ -98,8 +99,11 @@ class FileBlockClock:
 # -- directory files --------------------------------------------------------
 
 def load_directory(path: str) -> list[onion_routing.NodeDescriptor]:
-    """One node per line: node_id,ip,port,pubkey_hex (compressed)."""
+    """One node per line: node_id,ip,port,pubkey_hex (compressed).  A
+    node listed twice (same node id, ip:port or public key) is a bad
+    record, since route selection samples lines, not nodes."""
     directory = []
+    seen = set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:  # a non-ASCII byte is a bad record too
@@ -107,9 +111,16 @@ def load_directory(path: str) -> list[onion_routing.NodeDescriptor]:
                 if not line or line.startswith("#"):
                     continue
                 node_id, ip, port, pubkey_hex = line.split(",")
-                directory.append(onion_routing.NodeDescriptor(
+                d = onion_routing.NodeDescriptor(
                     node_id=node_id, ip=parse_ipv4(ip), port=parse_port(port),
-                    pubkey=ec_crypto.point_from_bytes(bytes.fromhex(pubkey_hex))))
+                    pubkey=ec_crypto.point_from_bytes(bytes.fromhex(pubkey_hex)))
+                keys = {("node id", d.node_id), ("address", (d.ip, d.port)),
+                        ("public key", d.pubkey)}
+                if repeated := keys & seen:
+                    raise ValueError("repeats an earlier record's " + ", ".join(
+                        sorted(name for name, _ in repeated)))
+                seen |= keys
+                directory.append(d)
             except (ValueError, TrrError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad directory record "
                                  f"({exc})") from exc
@@ -152,6 +163,24 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not at least 1")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
+    return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    return [_positive_int(part) for part in text.split(",")]
+
+
 def cmd_simulate(args) -> int:
     grid = [simulator.SimConfig(n_nodes=args.nodes,
                                 dishonest_rate=args.dishonest,
@@ -175,11 +204,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = _int_list(args.sizes)
     rng = random.Random(args.seed)
     keypairs = [ec_crypto.keygen(rng) for _ in range(args.layers)]
     rows = []
-    for size in sizes:
+    for size in args.sizes:
         plain = rng.randbytes(size)
         t0 = time.perf_counter()
         blob = plain
@@ -296,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="layered encryption growth and timing")
-    p.add_argument("--sizes", default="8,32,64,128,256,1024,4096,10240")
-    p.add_argument("--layers", type=int, default=5)
+    p.add_argument("--sizes", type=_positive_int_list,
+                   default="8,32,64,128,256,1024,4096,10240")
+    p.add_argument("--layers", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also write the CSV table here")
     p.set_defaults(func=cmd_bench)
@@ -308,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-id", default="node")
     p.add_argument("--broadcast", required=True, help="broadcast log file")
     p.add_argument("--block-file", required=True, help="block height file")
-    p.add_argument("--timeout", type=float, default=node_runtime.DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=_positive_float,
+                   default=node_runtime.DEFAULT_TIMEOUT)
     p.set_defaults(func=cmd_node)
 
     p = sub.add_parser("send", help="send a transaction through TRR")
@@ -318,11 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hops", type=int, default=3)
     p.add_argument("--delay", default="1,3,5", help="comma list cycled "
                    "across routes")
-    p.add_argument("--retries", type=int, default=3)
+    p.add_argument("--retries", type=_positive_int, default=3)
     p.add_argument("--broadcast", required=True, help="broadcast log file")
     p.add_argument("--block-file", required=True, help="block height file")
-    p.add_argument("--timeout", type=float, default=node_runtime.DEFAULT_TIMEOUT)
-    p.add_argument("--wait-timeout", type=float, default=60.0,
+    p.add_argument("--timeout", type=_positive_float,
+                   default=node_runtime.DEFAULT_TIMEOUT)
+    p.add_argument("--wait-timeout", type=_positive_float, default=60.0,
                    help="max seconds to wait for the block file per round")
     p.set_defaults(func=cmd_send)
     return parser

@@ -302,16 +302,17 @@ def keygen(rng) -> KeyPair:
 
 
 def keygen_even(rng) -> KeyPair:
-    """Keypair whose public key has an even y-coordinate.
+    """Keypair whose public key has an even y-coordinate, from one draw.
 
-    Return-path public keys travel as a bare 32-byte x-coordinate, so
-    the client keeps drawing until the point reconstructs with the
-    implied even parity.
+    Return-path public keys travel as a bare 32-byte x-coordinate, which
+    implies even parity.  An odd draw k gives way to CURVE_ORDER - k,
+    whose public key is -kG, so rng advances as in one keygen and the
+    result stays uniform over the even-y keys.
     """
-    while True:
-        kp = keygen(rng)
-        if kp.public.y % 2 == 0:
-            return kp
+    kp = keygen(rng)
+    if kp.public.y % 2 == 0:
+        return kp
+    return KeyPair(CURVE_ORDER - kp.private, point_neg(kp.public))
 
 
 # -- message embedding --------------------------------------------------

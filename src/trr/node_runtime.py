@@ -11,7 +11,9 @@ largest release delay on the block clock and checks the broadcast view;
 unseen transactions trigger a fresh round of routes.
 
 Transport, broadcast view and block clock are injected adapters, so the
-same logic runs over real TCP sockets and the in-process simulator.
+same logic runs over real TCP sockets and the in-process simulator.  An
+ack's time is the node's block height, and a TCP node never reads its
+predecessor's address.
 
 A node keeps no record of the requests it served: TrrNode.events counts
 each event kind and holds no address and no txid.  The full record of
@@ -148,7 +150,8 @@ class TrrNode:
 
     def serve_request(self, packet: bytes, src_addr=None) -> bytes:
         """Handle one decrypted-and-dispatched request; returns the
-        encrypted ack bytes to send back.
+        encrypted ack bytes to send back.  src_addr, the sender's address,
+        reaches only _observe_request; the simulator alone passes one.
 
         Raises MalformedCipher/MalformedRouting when the layer cannot
         be peeled; with no routing header there is no return key, so
@@ -423,7 +426,6 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
     rounds: list[SendRound] = []
     for _ in range(policy.retry_rounds):
         routes = select_routes(directory, policy.num_routes, policy.hops, rng)
-        return_kp = keygen_even(rng)
         sent_round = SendRound(dispatch_height=clock.height())
         max_delay = 1
         for i, route in enumerate(routes):
@@ -431,6 +433,7 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
             max_delay = max(max_delay, delay)
             attempt = RouteAttempt(
                 hop_ids=tuple(h.node_id for h in route), delay=delay)
+            return_kp = keygen_even(rng)  # one per route: no shared key
             onion = build_onion(tx, route, delay, return_kp,
                                 sent_round.dispatch_height, rng)
             first = route[0]

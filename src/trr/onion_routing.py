@@ -10,8 +10,10 @@ from the inside out:
 
 Each hop decrypts one layer, reads its routing header and either
 forwards the remaining bytes verbatim or, at dst_ip == 0, decodes the
-transaction for delayed release.  Every routing header carries the
-client's return public key so any hop can encrypt a result back.
+transaction for delayed release.  Every routing header of an onion
+carries its route's return public key, so any hop can encrypt a result
+back; client_send draws a fresh return key for each route, so no two
+routes share one.
 
 Deviation from the paper: its trr_data time field is the client's
 clock, which would tell the releasing hop when the request entered the

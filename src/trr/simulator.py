@@ -316,7 +316,7 @@ class SimNode(TrrNode):
     """TrrNode plus a behavior label and the descriptor the directory
     lists it under (listed); an observer node appends one stitch_chains
     record per request it serves to the ledger, and every node appends
-    each event, tick-stamped, to the world's trace."""
+    each event, stamped with its clock's tick, to the world's trace."""
 
     def __init__(self, *args, behavior, ledger, trace, clock):
         super().__init__(*args)
@@ -391,7 +391,8 @@ class AttackLedger:
 
 class InProcessTransport:
     """Synchronous delivery: a request is served by directly invoking
-    the target node, one tick of latency per edge."""
+    the target node, one tick of latency per edge.  A request that names
+    no source (the client's) comes from world.client_addr."""
 
     def __init__(self, world):
         self._world = world

@@ -177,7 +177,8 @@ def decode_trr_routing(raw: bytes) -> TrrRouting:
 
 @dataclass(frozen=True, slots=True)
 class TrrAck:
-    """Result record returned to the client; always 45 encoded bytes."""
+    """Result record returned to the client; always 45 encoded bytes.
+    time is the reporting node's block height, not a clock reading."""
 
     version: int
     time: int

@@ -100,6 +100,22 @@ class TestDirectoryFiles:
             load_directory(str(path))
         assert type(info.value) is ValueError
 
+    @pytest.mark.parametrize("second, repeated", [
+        ("n0,10.0.0.2,8000,{k1}", "node id"),
+        ("n1,10.0.0.1,8000,{k1}", "address"),
+        ("n1,10.0.0.2,8000,{k0}", "public key"),
+    ])
+    def test_node_listed_twice_rejected(self, tmp_path, second, repeated):
+        rng = random.Random(5)
+        k0, k1 = (ec.point_to_bytes(ec.keygen(rng).public).hex()
+                  for _ in range(2))
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"n0,10.0.0.1,8000,{k0}\n# listed again:\n"
+                        + second.format(k0=k0, k1=k1) + "\n")
+        with pytest.raises(ValueError, match="nodes.csv:3: bad directory "
+                           f"record .*{repeated}"):
+            load_directory(str(path))
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         rng = random.Random(2)
         d = NodeDescriptor("x", parse_ipv4("10.0.0.1"), 1, ec.keygen(rng).public)
@@ -206,6 +222,34 @@ class TestBench:
         assert float(rows[0][2]) > float(rows[1][2])  # ratio decreasing
         out = capsys.readouterr().out
         assert "ratio" in out
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--sizes", "0", "--layers", "1"],
+        ["bench", "--sizes", "8,-1"],
+        ["bench", "--layers", "0"],
+        ["node", "--timeout", "-1"],
+        ["node", "--timeout", "0"],
+        ["node", "--timeout", "nan"],
+        ["send", "--timeout", "inf"],
+        ["send", "--wait-timeout", "0"],
+        ["send", "--retries", "0"],
+    ], ids=" ".join)
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                      argv):
+        monkeypatch.chdir(tmp_path)
+        files = {"node": ["--key", "relay", "--listen", "127.0.0.1:9001",
+                          "--broadcast", "bc", "--block-file", "height"],
+                 "send": ["--tx", "tx.bin", "--directory", "nodes.csv",
+                          "--broadcast", "bc", "--block-file", "height"],
+                 "bench": []}[argv[0]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + files)
+        assert exc.value.code == 2
+        flag = next(a for a in argv if a.startswith("--"))
+        assert f"error: argument {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:

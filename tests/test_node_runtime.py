@@ -20,8 +20,20 @@ from trr.errors import (
     SizeMismatch,
     TrrTimeout,
 )
-from trr.onion_routing import NodeDescriptor, Release, build_onion, decrypt_ack
-from trr.simulator import BLOCK_INTERVAL_TICKS, SimConfig, SimNode, SimWorld
+from trr.onion_routing import (
+    NodeDescriptor,
+    Release,
+    build_onion,
+    decrypt_ack,
+    peel_layer,
+)
+from trr.simulator import (
+    BLOCK_INTERVAL_TICKS,
+    NODE_IP_BASE,
+    SimConfig,
+    SimNode,
+    SimWorld,
+)
 from trr.wire_protocol import MAX_FRAME_PAYLOAD, frame_message, parse_ipv4
 
 CLIENT_ADDR = (parse_ipv4("192.168.0.1"), 9)
@@ -337,6 +349,24 @@ class TestClientSend:
                            transport=NoTransport(),
                            view=world.nodes[0].view, clock=world.clock)
         assert rng.getstate() == state  # no route was drawn
+
+    def test_each_route_has_its_own_return_key(self, world):
+        packets = []
+        orig = world.transport.request
+
+        def recording(ip, port, packet, src_addr=None):
+            packets.append((ip, packet))
+            return orig(ip, port, packet, src_addr=src_addr)
+
+        world.transport.request = recording
+        policy = nr.SendPolicy(num_routes=3, hops=3)
+        world.send(b"keyed tx", policy)
+        return_keys = set()
+        for ip, packet in packets[::policy.hops]:  # each route's first hop
+            node = world.nodes[ip - NODE_IP_BASE]
+            return_keys.add(peel_layer(packet,
+                                       node.keypair.private).return_pubkey)
+        assert len(return_keys) == policy.num_routes
 
     def test_retry_round_on_transient_failure(self, world):
         orig = world.transport.request
