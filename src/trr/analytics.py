@@ -25,9 +25,9 @@ passing fractions.Fraction rates yields exact rational results.
 
 import io
 
-from .errors import DelayOutOfRange, InvalidConfig
+from .errors import InvalidConfig
 from .simulator import SimConfig, estimate_srd, estimate_srtr
-from .wire_protocol import MAX_RELEASE_DELAY, MIN_RELEASE_DELAY
+from .wire_protocol import check_release_delay
 
 CSV_COLUMNS = ("d", "f", "h", "r", "srtr_cf", "srd_cf",
                "srtr_mc", "srtr_se", "srd_mc", "srd_se")
@@ -35,7 +35,6 @@ CSV_COLUMNS = ("d", "f", "h", "r", "srtr_cf", "srd_cf",
 
 def srtr_closed_form(cfg: SimConfig):
     """Probability that at least one route releases."""
-    cfg.validate()
     route_ok = (1 - cfg.dishonest_rate) ** cfg.hops
     return 1 - (1 - route_ok) ** cfg.num_routes
 
@@ -57,7 +56,6 @@ def chain_coverage_prob(f, m: int):
 
 def srd_closed_form(cfg: SimConfig):
     """Probability that at least one route reconstructs end to end."""
-    cfg.validate()
     f = cfg.fake_rate
     if cfg.hops == 1:
         route_q = f  # single hop is both starting and releasing node
@@ -69,9 +67,7 @@ def srd_closed_form(cfg: SimConfig):
 def mixing_stats(delay_blocks: int, tx_per_block: int) -> int:
     """Expected number of unrelated transactions mixed in while a
     release waits out its delay."""
-    if not MIN_RELEASE_DELAY <= delay_blocks <= MAX_RELEASE_DELAY:
-        raise DelayOutOfRange(f"delay {delay_blocks} not in "
-                              f"{MIN_RELEASE_DELAY}..{MAX_RELEASE_DELAY}")
+    check_release_delay(delay_blocks)
     return delay_blocks * tx_per_block
 
 

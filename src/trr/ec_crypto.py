@@ -394,11 +394,6 @@ def elgamal_encrypt(plaintext: bytes, recipient_pub: CurvePoint, rng) -> CipherS
 def elgamal_decrypt(cipher: CipherStream, private: int) -> bytes:
     if not cipher.blocks:
         raise MalformedCipher("cipher stream has no blocks")
-    if cipher.c2.is_infinity or not is_on_curve(cipher.c2):
-        raise MalformedCipher("c2 not a valid curve point")
-    for block in cipher.blocks:
-        if block.is_infinity or not is_on_curve(block):
-            raise MalformedCipher("block not a valid curve point")
     neg_shared = point_neg(scalar_mul(private, cipher.c2))
     out = bytearray()
     for point in _add_to_each(cipher.blocks, neg_shared):

@@ -31,6 +31,7 @@ from typing import Protocol
 
 from .ec_crypto import KeyPair, keygen_even
 from .errors import (
+    DelayOutOfRange,
     GiveUp,
     MalformedCipher,
     MalformedRouting,
@@ -43,6 +44,8 @@ from .errors import (
     WireError,
 )
 from .onion_routing import (
+    MAX_HOPS,
+    MIN_HOPS,
     Forward,
     NodeDescriptor,
     Release,
@@ -57,6 +60,7 @@ from .wire_protocol import (
     FRAME_HEADER_LEN,
     MAX_TX_SIZE,
     TrrAck,
+    check_release_delay,
     dsha256,
     format_ipv4,
     frame_message,
@@ -372,12 +376,21 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
 
 # -- client ----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SendPolicy:
     num_routes: int = 3
     hops: int = 3
     delays: tuple[int, ...] = (1, 3, 5)  # cycled across a round's routes
     retry_rounds: int = 3
+
+    def __post_init__(self) -> None:
+        if self.num_routes < 1 or not MIN_HOPS <= self.hops <= MAX_HOPS:
+            raise ValueError(f"num_routes >= 1 and hops in "
+                             f"{MIN_HOPS}..{MAX_HOPS} required")
+        if not self.delays:
+            raise DelayOutOfRange("no release delay given")
+        for delay in self.delays:
+            check_release_delay(delay)
 
 
 @dataclass

@@ -65,10 +65,6 @@ def select_routes(directory, num_routes: int, hops_per_route: int,
     Hops are drawn uniformly without replacement and in random order
     within a route; routes are drawn independently and may overlap.
     """
-    if not MIN_HOPS <= hops_per_route <= MAX_HOPS:
-        raise ValueError(f"hops_per_route must be in {MIN_HOPS}..{MAX_HOPS}")
-    if num_routes < 1:
-        raise ValueError("num_routes must be at least 1")
     if len(directory) < hops_per_route:
         raise InsufficientNodes(
             f"directory holds {len(directory)} nodes, need {hops_per_route}")
@@ -147,9 +143,6 @@ def peel_layer(packet: bytes, node_private: int):
 def return_key_point(return_pubkey: bytes) -> ec_crypto.CurvePoint:
     """Reconstruct the client's return key from its 32-byte x-coordinate
     (parity is fixed even by construction)."""
-    if len(return_pubkey) != RETURN_PUBKEY_LEN:
-        raise MalformedRouting(
-            f"return_pubkey must be {RETURN_PUBKEY_LEN} bytes")
     return ec_crypto.point_from_bytes(b"\x02" + return_pubkey)
 
 

@@ -80,7 +80,7 @@ class SimConfig:
     trials: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_nodes < self.hops or self.n_nodes < 1:
             raise InvalidConfig("n_nodes must cover at least one route")
         if not (0 <= self.dishonest_rate <= 1 and 0 <= self.fake_rate <= 1):
@@ -144,7 +144,6 @@ def estimate_srtr(cfg: SimConfig) -> float:
     consists entirely of protocol-following hops (a single round, no
     retries).  Fake observer nodes follow the protocol, so only the
     dishonest fraction breaks a route."""
-    cfg.validate()
     n, h = cfg.n_nodes, cfg.hops
     cut = int(cfg.dishonest_rate * 2.0**64)
     successes = 0
@@ -167,7 +166,6 @@ def estimate_srd(cfg: SimConfig) -> float:
     """Fraction of trials in which stitching the observer ledger
     recovers at least one full route (correct hops, transaction content
     and client address)."""
-    cfg.validate()
     f = cfg.fake_rate
     population = range(cfg.n_nodes)
     client_addr = cfg.n_nodes  # outside the node id space
@@ -441,7 +439,6 @@ class SimWorld:
     holds those nodes in node-id order."""
 
     def __init__(self, cfg: SimConfig):
-        cfg.validate()
         self.cfg = cfg
         self.rng = random.Random(trial_seed(cfg.seed, 0) ^ 0xE2E)
         # every node draws its ack randomness from this one stream, kept

@@ -82,9 +82,19 @@ def format_ipv4(ip: int) -> str:
     return f"{ip >> 24 & 255}.{ip >> 16 & 255}.{ip >> 8 & 255}.{ip & 255}"
 
 
-def _check_u(value: int, bits: int, name: str) -> None:
-    if not 0 <= value < 1 << bits:
-        raise ValueError(f"{name} does not fit in {bits} bits: {value}")
+def check_release_delay(delay: int) -> None:
+    if not MIN_RELEASE_DELAY <= delay <= MAX_RELEASE_DELAY:
+        raise DelayOutOfRange(f"release_delay {delay} not in "
+                              f"{MIN_RELEASE_DELAY}..{MAX_RELEASE_DELAY}")
+
+
+def _pack(fmt: struct.Struct, *fields) -> bytes:
+    """fmt.pack(*fields), with struct's range and type check of each
+    field raised as ValueError."""
+    try:
+        return fmt.pack(*fields)
+    except struct.error as exc:
+        raise ValueError(f"field does not fit {fmt.format!r}: {exc}") from exc
 
 
 # -- trr_data ------------------------------------------------------------
@@ -101,23 +111,18 @@ class TrrData:
 
 
 def encode_trr_data(d: TrrData) -> bytes:
-    _check_u(d.version, 8, "version")
-    _check_u(d.time, 32, "time")
-    if not MIN_RELEASE_DELAY <= d.release_delay <= MAX_RELEASE_DELAY:
-        raise DelayOutOfRange(f"release_delay {d.release_delay} not in "
-                              f"{MIN_RELEASE_DELAY}..{MAX_RELEASE_DELAY}")
+    check_release_delay(d.release_delay)
     if len(d.tx) > MAX_TX_SIZE:
         raise SizeMismatch(f"tx of {len(d.tx)} bytes exceeds {MAX_TX_SIZE}")
-    return _DATA_HDR.pack(d.version, d.time, d.release_delay, len(d.tx)) + d.tx
+    return _pack(_DATA_HDR, d.version, d.time, d.release_delay,
+                 len(d.tx)) + d.tx
 
 
 def decode_trr_data(raw: bytes) -> TrrData:
     if len(raw) < TRR_DATA_HEADER_LEN:
         raise Truncated(f"trr_data header needs {TRR_DATA_HEADER_LEN} bytes")
     version, time, delay, tx_size = _DATA_HDR.unpack_from(raw)
-    if not MIN_RELEASE_DELAY <= delay <= MAX_RELEASE_DELAY:
-        raise DelayOutOfRange(f"release_delay {delay} not in "
-                              f"{MIN_RELEASE_DELAY}..{MAX_RELEASE_DELAY}")
+    check_release_delay(delay)
     if tx_size > MAX_TX_SIZE:
         raise SizeMismatch(f"tx_size {tx_size} exceeds {MAX_TX_SIZE}")
     if len(raw) < TRR_DATA_HEADER_LEN + tx_size:
@@ -149,16 +154,13 @@ class TrrRouting:
 
 
 def encode_trr_routing(r: TrrRouting) -> bytes:
-    _check_u(r.version, 8, "version")
-    _check_u(r.dst_ip, 32, "dst_ip")
-    _check_u(r.port, 16, "port")
     if len(r.return_pubkey) != RETURN_PUBKEY_LEN:
         raise ValueError(f"return_pubkey must be {RETURN_PUBKEY_LEN} bytes")
     if len(r.payload) > 0xFFFF:
         raise PayloadTooLarge(f"payload of {len(r.payload)} bytes exceeds "
                               "the 2-byte size field")
-    return _ROUTING_HDR.pack(r.version, r.return_pubkey, r.dst_ip, r.port,
-                             len(r.payload)) + r.payload
+    return _pack(_ROUTING_HDR, r.version, r.return_pubkey, r.dst_ip, r.port,
+                 len(r.payload)) + r.payload
 
 
 def decode_trr_routing(raw: bytes) -> TrrRouting:
@@ -189,14 +191,10 @@ class TrrAck:
 
 
 def encode_trr_ack(a: TrrAck) -> bytes:
-    _check_u(a.version, 8, "version")
-    _check_u(a.time, 32, "time")
-    _check_u(a.rpt_ip, 32, "rpt_ip")
-    _check_u(a.err_ip, 32, "err_ip")
-    _check_u(a.errno, 16, "errno")
     if len(a.errmsg) > ERRMSG_LEN:
         raise MessageTooLong(f"errmsg of {len(a.errmsg)} bytes exceeds {ERRMSG_LEN}")
-    return _ACK.pack(a.version, a.time, a.rpt_ip, a.err_ip, a.errno, a.errmsg)
+    return _pack(_ACK, a.version, a.time, a.rpt_ip, a.err_ip, a.errno,
+                 a.errmsg)
 
 
 def decode_trr_ack(raw: bytes) -> TrrAck:

@@ -95,15 +95,14 @@ class TestSrd:
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_closed_forms_reject_what_the_protocol_rejects(self):
-        # SimConfig.validate is the one check: hops above MAX_HOPS, rates
-        # summing past 1 and an empty population all raise
-        for cfg in (SimConfig(hops=MAX_HOPS + 1),
-                    SimConfig(dishonest_rate=0.6, fake_rate=0.6),
-                    SimConfig(n_nodes=2, hops=3)):
+        # SimConfig checks itself when built, so no closed form can be
+        # handed hops above MAX_HOPS, rates summing past 1 or an empty
+        # population
+        for kwargs in ({"hops": MAX_HOPS + 1},
+                       {"dishonest_rate": 0.6, "fake_rate": 0.6},
+                       {"n_nodes": 2, "hops": 3}):
             with pytest.raises(InvalidConfig):
-                srd_closed_form(cfg)
-            with pytest.raises(InvalidConfig):
-                srtr_closed_form(cfg)
+                SimConfig(**kwargs)
         assert srd_closed_form(SimConfig(fake_rate=0.5, hops=MAX_HOPS)) > 0
 
     def test_bounds(self):

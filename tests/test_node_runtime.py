@@ -1,6 +1,7 @@
 """Node request handling, release pool semantics and the client loop."""
 
 import contextlib
+import dataclasses
 import gc
 import random
 import socket
@@ -14,6 +15,7 @@ from trr import ec_crypto as ec
 from trr import node_runtime as nr
 from trr.errors import (
     BadMagic,
+    DelayOutOfRange,
     GiveUp,
     NotTrr,
     PeerClosed,
@@ -315,6 +317,29 @@ class TestNodeMemory:
         assert grown < 4096
         assert view.broadcasts == 200 and not node.pool
         assert node.events["released"] == 200
+
+
+class TestSendPolicy:
+    def test_bad_parameters(self):
+        with pytest.raises(ValueError):
+            nr.SendPolicy(hops=0)
+        with pytest.raises(ValueError):
+            nr.SendPolicy(hops=11)
+        with pytest.raises(ValueError):
+            nr.SendPolicy(num_routes=0)
+
+    @pytest.mark.parametrize("delays", [(1, 9), (), (0,), (-1,), (300,)])
+    def test_bad_delays(self, delays):
+        # (1, 9) once sent its first route and then raised at the second
+        with pytest.raises(DelayOutOfRange):
+            nr.SendPolicy(num_routes=2, hops=2, delays=delays)
+
+    def test_replace_checks_and_fields_are_frozen(self):
+        policy = nr.SendPolicy()
+        with pytest.raises(DelayOutOfRange):
+            dataclasses.replace(policy, delays=(1, 9))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.delays = (9,)
 
 
 class TestClientSend:

@@ -99,14 +99,6 @@ class TestSelectRoutes:
                 same += a == b
         assert abs(same / pairs - 1 / 6) < 0.01
 
-    def test_bad_parameters(self, directory):
-        with pytest.raises(ValueError):
-            select_routes(directory, 1, 0, random.Random(0))
-        with pytest.raises(ValueError):
-            select_routes(directory, 1, 11, random.Random(0))
-        with pytest.raises(ValueError):
-            select_routes(directory, 0, 3, random.Random(0))
-
 
 class TestOnion:
     def test_single_hop_release(self, keypool, directory):

@@ -52,7 +52,11 @@ class TestConfig:
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfig):
-            SimConfig(**kwargs).validate()
+            SimConfig(**kwargs)
+
+    def test_replace_checks(self):
+        with pytest.raises(InvalidConfig):
+            replace(SimConfig(), trials=0)
 
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(42, i) for i in range(10_000)}
