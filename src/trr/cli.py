@@ -24,7 +24,7 @@ import threading
 import time
 
 from . import analytics, ec_crypto, node_runtime, onion_routing, simulator
-from .errors import GiveUp, SizeMismatch, TrrError
+from .errors import DelayOutOfRange, GiveUp, SizeMismatch, TrrError
 from .wire_protocol import MAX_TX_SIZE, format_ipv4, parse_ipv4, parse_port
 
 logger = logging.getLogger("trr.cli")
@@ -263,12 +263,16 @@ def cmd_node(args) -> int:
 
 
 def cmd_send(args) -> int:
+    try:  # SendPolicy checks itself before any file is read
+        policy = node_runtime.SendPolicy(
+            num_routes=args.routes, hops=args.hops,
+            delays=tuple(_int_list(args.delay)), retry_rounds=args.retries)
+    except (ValueError, DelayOutOfRange) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     with open(args.tx, "rb") as fh:
         tx = fh.read()
     directory = load_directory(args.directory)
-    delays = tuple(_int_list(args.delay))
-    policy = node_runtime.SendPolicy(num_routes=args.routes, hops=args.hops,
-                                     delays=delays, retry_rounds=args.retries)
     view = FileBroadcastView(args.broadcast)
     clock = FileBlockClock(args.block_file, timeout=args.wait_timeout)
     try:

@@ -392,6 +392,8 @@ def elgamal_encrypt(plaintext: bytes, recipient_pub: CurvePoint, rng) -> CipherS
 
 
 def elgamal_decrypt(cipher: CipherStream, private: int) -> bytes:
+    """Plaintext of a stream from elgamal_encrypt or deserialize_cipher,
+    whose points are finite and on the curve, so none is checked again."""
     if not cipher.blocks:
         raise MalformedCipher("cipher stream has no blocks")
     neg_shared = point_neg(scalar_mul(private, cipher.c2))

@@ -378,6 +378,9 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
 
 @dataclass(frozen=True, slots=True)
 class SendPolicy:
+    """How client_send sends; checked when built, so no send starts that
+    a later route could not encode."""
+
     num_routes: int = 3
     hops: int = 3
     delays: tuple[int, ...] = (1, 3, 5)  # cycled across a round's routes

@@ -142,7 +142,8 @@ def peel_layer(packet: bytes, node_private: int):
 
 def return_key_point(return_pubkey: bytes) -> ec_crypto.CurvePoint:
     """Reconstruct the client's return key from its 32-byte x-coordinate
-    (parity is fixed even by construction)."""
+    (parity is fixed even by construction), as decode_trr_routing reads
+    it; point_from_bytes rejects any other length or an off-curve x."""
     return ec_crypto.point_from_bytes(b"\x02" + return_pubkey)
 
 

@@ -37,7 +37,6 @@ one per built node, from trial_seed, a splittable counter.
 
 import bisect
 import hashlib
-import json
 import random
 import struct
 from collections.abc import Sequence
@@ -72,6 +71,8 @@ MAX_CHAINS_PER_RELEASE = 65  # bounds AttackLedger.reconstruct on pooled ledgers
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
+    """One parameter point; it checks itself when built (InvalidConfig)."""
+
     n_nodes: int = 6000
     dishonest_rate: float = 0.0
     fake_rate: float = 0.0
@@ -511,14 +512,6 @@ class TraceReport:
     sybil_log: list[tuple]
     recovered_routes: list
     first_spreader: object | None
-
-    def to_json_lines(self) -> str:
-        lines = [json.dumps({"txid": self.txid_hex, "success": self.success,
-                             "rounds": self.rounds,
-                             "first_spreader": repr(self.first_spreader)})]
-        for event in self.node_events:
-            lines.append(json.dumps(event, default=repr))
-        return "\n".join(lines) + "\n"
 
 
 def run_end_to_end(cfg: SimConfig, tx: bytes) -> TraceReport:

@@ -9,6 +9,9 @@ carry them between peers with a 24-byte header:
     [ 4] length    of payload, uint32
     [ 4] checksum  first 4 bytes of double-SHA256(payload)
     [..] payload
+
+Encoders leave integer field widths to struct, raising its error as
+ValueError, and check by name only the limits struct cannot see.
 """
 
 import hashlib

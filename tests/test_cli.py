@@ -251,6 +251,23 @@ class TestArgumentChecks:
         assert f"error: argument {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--delay", "0"],
+        ["--delay", "1,9"],
+        ["--routes", "0"],
+        ["--hops", "11"],
+    ], ids=" ".join)
+    def test_bad_policy_refused_before_any_file(self, tmp_path, monkeypatch,
+                                                capsys, argv):
+        # the named files do not exist: reading either would exit 1
+        monkeypatch.chdir(tmp_path)
+        code = main(["send", *argv, "--tx", "tx.bin", "--directory",
+                     "nodes.csv", "--broadcast", "bc", "--block-file",
+                     "height"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     def test_zero_trials_invalid(self, capsys):

@@ -1,5 +1,6 @@
 """Codec round trips, golden vectors and decoder robustness."""
 
+import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -187,6 +188,41 @@ class TestTrrAck:
             wp.decode_trr_ack(raw[:44])
         with pytest.raises(SizeMismatch):
             wp.decode_trr_ack(raw + b"\x00")
+
+
+# every integer field an encoder writes from its record, with its width;
+# release_delay has its own 1..5 rule (DelayOutOfRange) and is left out
+FIELD_WIDTHS = [
+    (wp.encode_trr_data, wp.TrrData(1, 0, 3, b"tx"), "version", 8),
+    (wp.encode_trr_data, wp.TrrData(1, 0, 3, b"tx"), "time", 32),
+    (wp.encode_trr_routing, wp.TrrRouting(1, bytes(32), 5, 5, b""),
+     "version", 8),
+    (wp.encode_trr_routing, wp.TrrRouting(1, bytes(32), 5, 5, b""),
+     "dst_ip", 32),
+    (wp.encode_trr_routing, wp.TrrRouting(1, bytes(32), 5, 5, b""),
+     "port", 16),
+] + [(wp.encode_trr_ack, wp.TrrAck(1, 0, 0, 0, 0, b""), name, bits)
+     for name, bits in (("version", 8), ("time", 32), ("rpt_ip", 32),
+                        ("err_ip", 32), ("errno", 16))]
+
+
+class TestFieldWidths:
+    @pytest.mark.parametrize(
+        "encode,record,name,bits", FIELD_WIDTHS,
+        ids=[f"{type(r).__name__}.{n}" for _, r, n, _ in FIELD_WIDTHS])
+    def test_out_of_range_raises_value_error(self, encode, record, name, bits):
+        encode(dataclasses.replace(record, **{name: (1 << bits) - 1}))
+        for bad in (1 << bits, -1):
+            with pytest.raises(ValueError):
+                encode(dataclasses.replace(record, **{name: bad}))
+
+    @pytest.mark.parametrize("encode,record", [
+        (wp.encode_trr_data, wp.TrrData(1, 0, 3, b"tx")),
+        (wp.encode_trr_ack, wp.TrrAck(1, 0, 0, 0, 0, b"")),
+    ], ids=["TrrData", "TrrAck"])
+    def test_float_time_raises_value_error(self, encode, record):
+        with pytest.raises(ValueError):
+            encode(dataclasses.replace(record, time=1.5))
 
 
 class TestFraming:
