@@ -378,8 +378,8 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
 
 @dataclass(frozen=True, slots=True)
 class SendPolicy:
-    """How client_send sends; checked when built, so no send starts that
-    a later route could not encode."""
+    """Routes, hops, release delays and retry rounds of a send, checked
+    when built, so no send starts that a later route could not encode."""
 
     num_routes: int = 3
     hops: int = 3

@@ -11,7 +11,7 @@ carry them between peers with a 24-byte header:
     [..] payload
 
 Encoders leave integer field widths to struct, raising its error as
-ValueError, and check by name only the limits struct cannot see.
+ValueError, and check themselves only the limits struct cannot see.
 """
 
 import hashlib
