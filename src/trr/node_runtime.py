@@ -46,9 +46,7 @@ from .errors import (
 from .onion_routing import (
     MAX_HOPS,
     MIN_HOPS,
-    Forward,
     NodeDescriptor,
-    Release,
     build_onion,
     decrypt_ack,
     encrypt_ack,
@@ -60,6 +58,8 @@ from .wire_protocol import (
     FRAME_HEADER_LEN,
     MAX_TX_SIZE,
     TrrAck,
+    TrrData,
+    TrrRouting,
     check_release_delay,
     dsha256,
     format_ipv4,
@@ -149,53 +149,53 @@ class TrrNode:
             record = {"event": event, "node": self.descriptor.node_id, **fields}
             logger.debug(json.dumps(record, default=repr))
 
-    def _observe_request(self, src_addr, peeled) -> None:
+    def _observe_request(self, src_addr, routing, data) -> None:
         """Hook for instrumented (attacker-run) nodes; honest no-op."""
 
     def serve_request(self, packet: bytes, src_addr=None) -> bytes:
         """Handle one decrypted-and-dispatched request; returns the
-        encrypted ack bytes to send back.  src_addr, the sender's address,
-        reaches only _observe_request; the simulator alone passes one.
+        encrypted ack bytes to send back.  _observe_request is handed
+        src_addr (the simulator alone passes one) and what peel_layer
+        decoded: the TrrRouting, and the TrrData at the releasing hop.
 
         Raises MalformedCipher/MalformedRouting when the layer cannot
         be peeled; with no routing header there is no return key, so
         the connection is simply closed and the previous hop reports.
         """
         try:
-            peeled = peel_layer(packet, self.keypair.private)
+            routing, data = peel_layer(packet, self.keypair.private)
         except (MalformedCipher, MalformedRouting) as exc:
             self._log("peel_failed", error=type(exc).__name__)
             raise
-        self._observe_request(src_addr, peeled)
+        self._observe_request(src_addr, routing, data)
         self._log("received", size=len(packet),
-                  kind="forward" if isinstance(peeled, Forward) else "release")
-        if isinstance(peeled, Forward):
-            return self._handle_forward(peeled)
-        return self._handle_release(peeled)
+                  kind="forward" if data is None else "release")
+        if data is None:
+            return self._handle_forward(routing)
+        return self._handle_release(routing.return_pubkey, data)
 
-    def _handle_forward(self, fwd: Forward) -> bytes:
+    def _handle_forward(self, routing: TrrRouting) -> bytes:
         me = self.descriptor
         try:
             ack_bytes = self.transport.request(
-                fwd.next_ip, fwd.next_port, fwd.remaining,
+                routing.dst_ip, routing.port, routing.payload,
                 src_addr=(me.ip, me.port))
-            self._log("forwarded", next_ip=format_ipv4(fwd.next_ip),
-                      next_port=fwd.next_port)
+            self._log("forwarded", next_ip=format_ipv4(routing.dst_ip),
+                      next_port=routing.port)
             return ack_bytes  # downstream ack relayed verbatim
         except tuple(_ERRNO_FOR) as exc:
             errno = _ERRNO_FOR[type(exc)]
-            self._log("forward_failed", next_ip=format_ipv4(fwd.next_ip),
+            self._log("forward_failed", next_ip=format_ipv4(routing.dst_ip),
                       errno=errno)
-            return self._own_ack(fwd.return_pubkey, errno=errno,
-                                 err_ip=fwd.next_ip,
+            return self._own_ack(routing.return_pubkey, errno=errno,
+                                 err_ip=routing.dst_ip,
                                  errmsg=type(exc).__name__.encode())
 
-    def _handle_release(self, rel: Release) -> bytes:
-        data = rel.trr_data
+    def _handle_release(self, return_pubkey: bytes, data: TrrData) -> bytes:
         me = self.descriptor
         if not self.view.verify(data.tx):
             self._log("verify_failed")
-            return self._own_ack(rel.return_pubkey, errno=ERR_INVALID_TX,
+            return self._own_ack(return_pubkey, errno=ERR_INVALID_TX,
                                  err_ip=me.ip, errmsg=b"verify failed")
         tid = txid(data.tx)
         with self._lock:
@@ -212,11 +212,11 @@ class TrrNode:
                 event = "pool_full"
         if event == "pool_full":
             self._log(event)
-            return self._own_ack(rel.return_pubkey, errno=ERR_POOL_FULL,
+            return self._own_ack(return_pubkey, errno=ERR_POOL_FULL,
                                  err_ip=me.ip, errmsg=b"pool full")
         self._log(event, release_height=release_height,
                   delay=data.release_delay)
-        return self._own_ack(rel.return_pubkey, errno=ERR_OK, err_ip=0)
+        return self._own_ack(return_pubkey, errno=ERR_OK, err_ip=0)
 
     def _own_ack(self, return_pubkey: bytes, *, errno: int, err_ip: int,
                  errmsg: bytes = b"") -> bytes:

@@ -8,12 +8,11 @@ from the inside out:
     to B:  routing(dst=C)      | cipher_for_C
     to A:  routing(dst=B)      | cipher_for_B
 
-Each hop decrypts one layer, reads its routing header and either
-forwards the remaining bytes verbatim or, at dst_ip == 0, decodes the
-transaction for delayed release.  Every routing header of an onion
-carries its route's return public key, so any hop can encrypt a result
-back; client_send draws a fresh return key for each route, so no two
-routes share one.
+Each hop's peel_layer yields the decoded TrrRouting, whose payload it
+forwards verbatim, or at dst_ip == 0 also the decoded TrrData it
+releases.  Every routing header of an onion carries its route's return
+public key, so any hop can encrypt a result back; client_send draws a
+fresh return key for each route, so no two routes share one.
 
 Deviation from the paper: its trr_data time field is the client's
 clock, which would tell the releasing hop when the request entered the
@@ -72,43 +71,22 @@ def select_routes(directory, num_routes: int, hops_per_route: int,
             for _ in range(num_routes)]
 
 
-@dataclass(frozen=True, slots=True)
-class Forward:
-    """Peel outcome at an intermediate hop."""
-
-    next_ip: int
-    next_port: int
-    remaining: bytes
-    return_pubkey: bytes
-
-
-@dataclass(frozen=True, slots=True)
-class Release:
-    """Peel outcome at the releasing hop."""
-
-    trr_data: TrrData
-    return_pubkey: bytes
-
-
 def build_onion(tx: bytes, route: tuple, release_delay: int,
                 return_keypair: ec_crypto.KeyPair, now: int, rng) -> bytes:
-    """Layer-encrypt tx for the given route, innermost layer first; the
-    onion is the serialized outermost cipher stream."""
+    """Layer-encrypt tx from the releasing hop (next address 0:0)
+    outward; the onion is the serialized outermost cipher stream."""
     if not route:
         raise ValueError("route has no hops")
     if return_keypair.public.y % 2 != 0:
         raise ValueError("return keypair must have an even-parity public key")
     return_x = return_keypair.public.x.to_bytes(RETURN_PUBKEY_LEN, "big")
 
-    inner = TrrRouting(
-        version=1, return_pubkey=return_x, dst_ip=0, port=0,
-        payload=encode_trr_data(TrrData(1, now, release_delay, tx)))
-    packet = _encrypt_layer(encode_trr_routing(inner), route[-1].pubkey, rng)
-    for hop, successor in zip(route[-2::-1], route[:0:-1]):
-        layer = TrrRouting(version=1, return_pubkey=return_x,
-                           dst_ip=successor.ip, port=successor.port,
-                           payload=packet)
+    packet = encode_trr_data(TrrData(1, now, release_delay, tx))
+    next_ip, next_port = 0, 0  # the releasing hop has no next node
+    for hop in reversed(route):
+        layer = TrrRouting(1, return_x, next_ip, next_port, packet)
         packet = _encrypt_layer(encode_trr_routing(layer), hop.pubkey, rng)
+        next_ip, next_port = hop.ip, hop.port
     return packet
 
 
@@ -117,12 +95,15 @@ def _encrypt_layer(plaintext: bytes, pubkey: ec_crypto.CurvePoint, rng) -> bytes
         ec_crypto.elgamal_encrypt(plaintext, pubkey, rng))
 
 
-def peel_layer(packet: bytes, node_private: int):
-    """Strip one layer; returns Forward or Release.
+def peel_layer(packet: bytes,
+               node_private: int) -> tuple[TrrRouting, TrrData | None]:
+    """Strip one layer; returns its TrrRouting and, at the releasing
+    hop (dst_ip 0), the TrrData in its payload, else None.
 
     MalformedCipher means the bytes are not even a valid cipher stream;
     MalformedRouting means a structurally valid stream that did not
-    decrypt into a routing header (wrong key or corrupted layer).
+    decrypt into a routing header (wrong key or corrupted layer), or a
+    release whose payload is no trr_data.
     """
     stream = ec_crypto.deserialize_cipher(packet)
     try:
@@ -131,13 +112,11 @@ def peel_layer(packet: bytes, node_private: int):
     except (LengthMismatch, WireError) as exc:
         raise MalformedRouting(f"layer did not peel: {exc}") from exc
     if not routing.is_release:
-        return Forward(routing.dst_ip, routing.port, routing.payload,
-                       routing.return_pubkey)
+        return routing, None
     try:
-        trr_data = decode_trr_data(routing.payload)
+        return routing, decode_trr_data(routing.payload)
     except WireError as exc:
         raise MalformedRouting(f"release payload did not decode: {exc}") from exc
-    return Release(trr_data, routing.return_pubkey)
 
 
 def return_key_point(return_pubkey: bytes) -> ec_crypto.CurvePoint:

@@ -56,7 +56,7 @@ from .errors import (
     TrrTimeout,
 )
 from .node_runtime import SendPolicy, TrrNode, client_send
-from .onion_routing import MAX_HOPS, MIN_HOPS, Forward, NodeDescriptor, Release
+from .onion_routing import MAX_HOPS, MIN_HOPS, NodeDescriptor
 from .wire_protocol import MAX_TX_SIZE
 
 HONEST = "honest"
@@ -314,8 +314,10 @@ def sybil_first_spreader(log, txid: bytes):
 class SimNode(TrrNode):
     """TrrNode plus a behavior label and the descriptor the directory
     lists it under (listed); an observer node appends one stitch_chains
-    record per request it serves to the ledger, and every node appends
-    each event, stamped with its clock's tick, to the world's trace."""
+    record per request to the ledger from what _observe_request is
+    handed (src_addr, the TrrRouting, the releasing hop's TrrData), and
+    every node appends each event, stamped with its clock's tick, to the
+    world's trace."""
 
     def __init__(self, *args, behavior, ledger, trace, clock):
         super().__init__(*args)
@@ -330,26 +332,24 @@ class SimNode(TrrNode):
         self.trace.append({"tick": self.clock.tick, "event": event,
                            "node": self.descriptor.node_id, **fields})
 
-    def _observe_request(self, src_addr, peeled) -> None:
+    def _observe_request(self, src_addr, routing, data) -> None:
         if self.behavior != FAKE_TRR:
             return
         own = (self.descriptor.ip, self.descriptor.port)
-        if isinstance(peeled, Forward):
-            record = Observation(src_addr, own,
-                                 (peeled.next_ip, peeled.next_port))
+        if data is None:
+            record = Observation(src_addr, own, (routing.dst_ip, routing.port))
         else:
-            record = Observation(src_addr, own, None,
-                                 node_runtime.txid(peeled.trr_data.tx))
+            record = Observation(src_addr, own, None, node_runtime.txid(data.tx))
         self.ledger.entries.append(record)
 
-    def _handle_release(self, rel: Release) -> bytes:
+    def _handle_release(self, return_pubkey, data) -> bytes:
         if self.behavior == "no_release":
             # accept and ack but never enqueue: the withheld release is
             # exactly what makes this node dishonest
             self._log("withheld_release")
-            return self._own_ack(rel.return_pubkey,
+            return self._own_ack(return_pubkey,
                                  errno=node_runtime.ERR_OK, err_ip=0)
-        return super()._handle_release(rel)
+        return super()._handle_release(return_pubkey, data)
 
 
 class Observation(NamedTuple):

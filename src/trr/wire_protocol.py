@@ -12,6 +12,9 @@ carry them between peers with a 24-byte header:
 
 Encoders leave integer field widths to struct, raising its error as
 ValueError, and check themselves only the limits struct cannot see.
+Every decoder applies one size rule, through _header and _body: the
+fixed header must be present (Truncated), and the size it declares must
+equal the rest of the buffer (Truncated if short, SizeMismatch if long).
 """
 
 import hashlib
@@ -38,7 +41,6 @@ MAX_TX_SIZE = 10240
 MIN_RELEASE_DELAY = 1
 MAX_RELEASE_DELAY = 5
 
-TRR_DATA_HEADER_LEN = 15
 TRR_ROUTING_HEADER_LEN = 41
 TRR_ACK_LEN = 45
 RETURN_PUBKEY_LEN = 32
@@ -100,6 +102,22 @@ def _pack(fmt: struct.Struct, *fields) -> bytes:
         raise ValueError(f"field does not fit {fmt.format!r}: {exc}") from exc
 
 
+def _header(raw: bytes, fmt: struct.Struct, name: str) -> tuple:
+    """fmt's fields from the start of raw; Truncated if raw is shorter."""
+    if len(raw) < fmt.size:
+        raise Truncated(f"{name} header needs {fmt.size} bytes")
+    return fmt.unpack_from(raw)
+
+
+def _body(raw: bytes, fmt: struct.Struct, size: int, name: str) -> bytes:
+    """raw after fmt's header, exactly size bytes or Truncated/SizeMismatch."""
+    if len(raw) < fmt.size + size:
+        raise Truncated(f"{name} bytes missing")
+    if len(raw) > fmt.size + size:
+        raise SizeMismatch(f"trailing bytes after {name}")
+    return raw[fmt.size:]
+
+
 # -- trr_data ------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -122,17 +140,11 @@ def encode_trr_data(d: TrrData) -> bytes:
 
 
 def decode_trr_data(raw: bytes) -> TrrData:
-    if len(raw) < TRR_DATA_HEADER_LEN:
-        raise Truncated(f"trr_data header needs {TRR_DATA_HEADER_LEN} bytes")
-    version, time, delay, tx_size = _DATA_HDR.unpack_from(raw)
+    version, time, delay, size = _header(raw, _DATA_HDR, "trr_data")
     check_release_delay(delay)
-    if tx_size > MAX_TX_SIZE:
-        raise SizeMismatch(f"tx_size {tx_size} exceeds {MAX_TX_SIZE}")
-    if len(raw) < TRR_DATA_HEADER_LEN + tx_size:
-        raise Truncated("trr_data transaction bytes missing")
-    if len(raw) > TRR_DATA_HEADER_LEN + tx_size:
-        raise SizeMismatch("trailing bytes after trr_data")
-    return TrrData(version, time, delay, raw[TRR_DATA_HEADER_LEN:])
+    if size > MAX_TX_SIZE:
+        raise SizeMismatch(f"tx_size {size} exceeds {MAX_TX_SIZE}")
+    return TrrData(version, time, delay, _body(raw, _DATA_HDR, size, "trr_data"))
 
 
 # -- trr_routing ---------------------------------------------------------
@@ -167,15 +179,8 @@ def encode_trr_routing(r: TrrRouting) -> bytes:
 
 
 def decode_trr_routing(raw: bytes) -> TrrRouting:
-    if len(raw) < TRR_ROUTING_HEADER_LEN:
-        raise Truncated(f"trr_routing header needs {TRR_ROUTING_HEADER_LEN} bytes")
-    version, pubkey, dst_ip, port, payload_size = _ROUTING_HDR.unpack_from(raw)
-    if len(raw) < TRR_ROUTING_HEADER_LEN + payload_size:
-        raise Truncated("trr_routing payload bytes missing")
-    if len(raw) > TRR_ROUTING_HEADER_LEN + payload_size:
-        raise SizeMismatch("trailing bytes after trr_routing")
-    return TrrRouting(version, pubkey, dst_ip, port,
-                      raw[TRR_ROUTING_HEADER_LEN:])
+    *fields, size = _header(raw, _ROUTING_HDR, "trr_routing")
+    return TrrRouting(*fields, _body(raw, _ROUTING_HDR, size, "trr_routing"))
 
 
 # -- trr_ack -------------------------------------------------------------
@@ -201,12 +206,9 @@ def encode_trr_ack(a: TrrAck) -> bytes:
 
 
 def decode_trr_ack(raw: bytes) -> TrrAck:
-    if len(raw) < TRR_ACK_LEN:
-        raise Truncated(f"trr_ack needs exactly {TRR_ACK_LEN} bytes")
-    if len(raw) > TRR_ACK_LEN:
-        raise SizeMismatch("trailing bytes after trr_ack")
-    version, time, rpt_ip, err_ip, errno, errmsg = _ACK.unpack(raw)
-    return TrrAck(version, time, rpt_ip, err_ip, errno, errmsg.rstrip(b"\x00"))
+    *fields, errmsg = _header(raw, _ACK, "trr_ack")
+    _body(raw, _ACK, 0, "trr_ack")
+    return TrrAck(*fields, errmsg.rstrip(b"\x00"))
 
 
 # -- framing -------------------------------------------------------------
@@ -221,9 +223,7 @@ def frame_message(command: str, payload: bytes) -> bytes:
 def parse_frame_header(raw: bytes) -> tuple[str, int, bytes]:
     """Command, payload length and checksum of a frame, read from its
     header alone, so a stream reader can reject it before the payload."""
-    if len(raw) < FRAME_HEADER_LEN:
-        raise Truncated(f"frame header needs {FRAME_HEADER_LEN} bytes")
-    magic, cmd_field, length, checksum = _FRAME_HDR.unpack_from(raw)
+    magic, cmd_field, length, checksum = _header(raw, _FRAME_HDR, "frame")
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
     if cmd_field not in _COMMAND_FIELDS:
@@ -235,11 +235,7 @@ def parse_frame_header(raw: bytes) -> tuple[str, int, bytes]:
 
 def parse_frame(raw: bytes) -> tuple[str, bytes]:
     command, length, checksum = parse_frame_header(raw)
-    if len(raw) < FRAME_HEADER_LEN + length:
-        raise Truncated("frame payload bytes missing")
-    if len(raw) > FRAME_HEADER_LEN + length:
-        raise SizeMismatch("trailing bytes after frame")
-    payload = raw[FRAME_HEADER_LEN:]
+    payload = _body(raw, _FRAME_HDR, length, "frame")
     if dsha256(payload)[:4] != checksum:
         raise BadChecksum("frame checksum mismatch")
     return command, payload

@@ -24,7 +24,6 @@ from trr.errors import (
 )
 from trr.onion_routing import (
     NodeDescriptor,
-    Release,
     build_onion,
     decrypt_ack,
     peel_layer,
@@ -389,8 +388,8 @@ class TestClientSend:
         return_keys = set()
         for ip, packet in packets[::policy.hops]:  # each route's first hop
             node = world.nodes[ip - NODE_IP_BASE]
-            return_keys.add(peel_layer(packet,
-                                       node.keypair.private).return_pubkey)
+            routing, _ = peel_layer(packet, node.keypair.private)
+            return_keys.add(routing.return_pubkey)
         assert len(return_keys) == policy.num_routes
 
     def test_retry_round_on_transient_failure(self, world):
@@ -422,9 +421,8 @@ class TestClientSend:
                                                            monkeypatch):
         released = []
         monkeypatch.setattr(SimNode, "_observe_request",
-                            lambda node, src_addr, peeled:
-                            released.append(peeled.trr_data)
-                            if isinstance(peeled, Release) else None)
+                            lambda node, src_addr, routing, data:
+                            released.append(data) if data is not None else None)
         for _ in range(3):
             world.clock.advance_block()
         report = world.send(b"timed tx", nr.SendPolicy(num_routes=2, hops=2))
@@ -452,7 +450,7 @@ class TestClientSend:
         world.transport.request = recording
         # the source a node is handed when it receives the request
         monkeypatch.setattr(SimNode, "_observe_request",
-                            lambda node, src_addr, peeled:
+                            lambda node, src_addr, routing, data:
                             sources.append(src_addr))
         policy = nr.SendPolicy(num_routes=2, hops=3, delays=(1, 1))
         report = world.send(tx, policy)

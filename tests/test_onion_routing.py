@@ -10,9 +10,7 @@ import pytest
 from trr import ec_crypto as ec
 from trr.errors import InsufficientNodes, MalformedCipher, MalformedRouting
 from trr.onion_routing import (
-    Forward,
     NodeDescriptor,
-    Release,
     build_onion,
     decrypt_ack,
     encrypt_ack,
@@ -49,13 +47,13 @@ def build_and_peel(tx, hops, keypool, directory, rng, delay=1):
     ret = ec.keygen_even(rng)
     packet = build_onion(tx, route, delay, ret, now=0, rng=rng)
     for i in range(hops - 1):
-        peeled = peel_layer(packet, keypool[i].private)
-        assert isinstance(peeled, Forward)
-        assert peeled.next_ip == directory[i + 1].ip
-        assert peeled.next_port == directory[i + 1].port
-        packet = peeled.remaining
-    final = peel_layer(packet, keypool[hops - 1].private)
-    assert isinstance(final, Release)
+        routing, data = peel_layer(packet, keypool[i].private)
+        assert data is None
+        assert routing.dst_ip == directory[i + 1].ip
+        assert routing.port == directory[i + 1].port
+        packet = routing.payload
+    routing, final = peel_layer(packet, keypool[hops - 1].private)
+    assert routing.is_release and final is not None
     return final, ret
 
 
@@ -104,15 +102,15 @@ class TestOnion:
     def test_single_hop_release(self, keypool, directory):
         rng = random.Random(23)
         final, _ = build_and_peel(b"small tx", 1, keypool, directory, rng, delay=2)
-        assert final.trr_data.tx == b"small tx"
-        assert final.trr_data.release_delay == 2
+        assert final.tx == b"small tx"
+        assert final.release_delay == 2
 
     def test_three_hop_chain(self, keypool, directory):
         # client -> A -> B -> C: A forwards to B, B to C, C releases
         rng = random.Random(29)
         tx = rng.randbytes(300)
         final, _ = build_and_peel(tx, 3, keypool, directory, rng)
-        assert final.trr_data.tx == tx
+        assert final.tx == tx
 
     def test_roundtrip_many_routes(self, keypool, directory):
         rng = random.Random(31)
@@ -120,7 +118,7 @@ class TestOnion:
             hops = rng.randint(1, 10)
             tx = rng.randbytes(rng.randint(1, 400))
             final, _ = build_and_peel(tx, hops, keypool, directory, rng)
-            assert final.trr_data.tx == tx
+            assert final.tx == tx
 
     @pytest.mark.slow
     def test_roundtrip_thousand_pairs(self, keypool, directory):
@@ -130,7 +128,7 @@ class TestOnion:
             hops = rng.randint(1, 10)
             tx = rng.randbytes(rng.randint(1, 120))
             final, _ = build_and_peel(tx, hops, keypool, directory, rng)
-            assert final.trr_data.tx == tx
+            assert final.tx == tx
 
     def test_wrong_key_raises_malformed_routing(self, keypool, directory):
         rng = random.Random(37)
@@ -170,9 +168,9 @@ class TestOnion:
         route = tuple(directory[:3])
         packet = build_onion(rng.randbytes(200), route, 1,
                              ec.keygen_even(rng), 0, rng)
-        peeled = peel_layer(packet, keypool[0].private)
+        routing, _ = peel_layer(packet, keypool[0].private)
         received_grams = {packet[i:i + 8] for i in range(len(packet) - 7)}
-        forwarded = peeled.remaining
+        forwarded = routing.payload
         shared = [forwarded[i:i + 8] for i in range(len(forwarded) - 7)
                   if forwarded[i:i + 8] in received_grams]
         assert not shared
@@ -190,7 +188,7 @@ class TestOnion:
         rng = random.Random(53)
         for delay in (1, 5):
             final, _ = build_and_peel(b"x", 2, keypool, directory, rng, delay=delay)
-            assert final.trr_data.release_delay == delay
+            assert final.release_delay == delay
 
     def test_return_pubkey_present_at_every_hop(self, keypool, directory):
         rng = random.Random(59)
@@ -199,12 +197,9 @@ class TestOnion:
         expected = ret.public.x.to_bytes(32, "big")
         packet = build_onion(b"tx", route, 1, ret, 0, rng)
         for i in range(3):
-            peeled = peel_layer(packet, keypool[i].private)
-            if isinstance(peeled, Forward):
-                assert peeled.return_pubkey == expected
-                packet = peeled.remaining
-            else:
-                assert peeled.return_pubkey == expected
+            routing, _ = peel_layer(packet, keypool[i].private)
+            assert routing.return_pubkey == expected
+            packet = routing.payload
 
     def test_odd_return_key_rejected(self, keypool, directory):
         rng = random.Random(61)
@@ -264,9 +259,9 @@ class TestAckPath:
         ret = ec.keygen_even(rng)
         packet = build_onion(b"tx bytes", tuple(directory[:3]), 1, ret,
                              now=0, rng=rng)
-        peeled = peel_layer(packet, keypool[0].private)  # its own layer only
-        blocks = ec.deserialize_cipher(peeled.remaining).blocks
-        key = peeled.return_pubkey
+        routing, _ = peel_layer(packet, keypool[0].private)  # its own layer only
+        blocks = ec.deserialize_cipher(routing.payload).blocks
+        key = routing.return_pubkey
         # the next layer opens with its 4-byte length, version 1 and the
         # return key; the block count leaves 31 candidate lengths
         read = []
