@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hops", type=int, default=3)
     p.add_argument("--delay", default="1,3,5", help="comma list cycled "
                    "across routes")
-    p.add_argument("--retries", type=_positive_int, default=3)
+    p.add_argument("--retries", type=int, default=3)
     p.add_argument("--broadcast", required=True, help="broadcast log file")
     p.add_argument("--block-file", required=True, help="block height file")
     p.add_argument("--timeout", type=_positive_float,

@@ -387,9 +387,10 @@ class SendPolicy:
     retry_rounds: int = 3
 
     def __post_init__(self) -> None:
-        if self.num_routes < 1 or not MIN_HOPS <= self.hops <= MAX_HOPS:
-            raise ValueError(f"num_routes >= 1 and hops in "
-                             f"{MIN_HOPS}..{MAX_HOPS} required")
+        if (self.num_routes < 1 or self.retry_rounds < 1
+                or not MIN_HOPS <= self.hops <= MAX_HOPS):
+            raise ValueError(f"num_routes >= 1, retry_rounds >= 1 and hops "
+                             f"in {MIN_HOPS}..{MAX_HOPS} required")
         if not self.delays:
             raise DelayOutOfRange("no release delay given")
         for delay in self.delays:

@@ -88,9 +88,10 @@ def format_ipv4(ip: int) -> str:
 
 
 def check_release_delay(delay: int) -> None:
-    if not MIN_RELEASE_DELAY <= delay <= MAX_RELEASE_DELAY:
-        raise DelayOutOfRange(f"release_delay {delay} not in "
-                              f"{MIN_RELEASE_DELAY}..{MAX_RELEASE_DELAY}")
+    if (not isinstance(delay, int)
+            or not MIN_RELEASE_DELAY <= delay <= MAX_RELEASE_DELAY):
+        raise DelayOutOfRange(f"release_delay {delay!r} is not an integer "
+                              f"in {MIN_RELEASE_DELAY}..{MAX_RELEASE_DELAY}")
 
 
 def _pack(fmt: struct.Struct, *fields) -> bytes:

@@ -117,7 +117,7 @@ class TestMixingStats:
     def test_block_statistics(self, delay, expected):
         assert mixing_stats(delay, 945) == expected
 
-    @pytest.mark.parametrize("delay", [0, 6, -1])
+    @pytest.mark.parametrize("delay", [0, 6, -1, 2.5])
     def test_delay_out_of_range(self, delay):
         with pytest.raises(DelayOutOfRange):
             mixing_stats(delay, 945)

@@ -234,7 +234,6 @@ class TestArgumentChecks:
         ["node", "--timeout", "nan"],
         ["send", "--timeout", "inf"],
         ["send", "--wait-timeout", "0"],
-        ["send", "--retries", "0"],
     ], ids=" ".join)
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
                                       argv):
@@ -256,6 +255,7 @@ class TestArgumentChecks:
         ["--delay", "1,9"],
         ["--routes", "0"],
         ["--hops", "11"],
+        ["--retries", "0"],
     ], ids=" ".join)
     def test_bad_policy_refused_before_any_file(self, tmp_path, monkeypatch,
                                                 capsys, argv):

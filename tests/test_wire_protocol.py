@@ -110,7 +110,7 @@ class TestTrrData:
         d = wp.TrrData(version, time, delay, tx)
         assert wp.decode_trr_data(wp.encode_trr_data(d)) == d
 
-    @pytest.mark.parametrize("delay", [0, 6, 2**40])
+    @pytest.mark.parametrize("delay", [0, 6, 2**40, 2.5])
     def test_delay_out_of_range(self, delay):
         d = wp.TrrData(1, 0, delay, b"")
         with pytest.raises(DelayOutOfRange):
