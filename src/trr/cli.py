@@ -127,14 +127,6 @@ def load_directory(path: str) -> list[onion_routing.NodeDescriptor]:
     return directory
 
 
-def save_directory(path: str,
-                   directory: list[onion_routing.NodeDescriptor]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for d in directory:
-            fh.write(f"{d.node_id},{format_ipv4(d.ip)},{d.port},"
-                     f"{ec_crypto.point_to_bytes(d.pubkey).hex()}\n")
-
-
 def _load_keypair(prefix: str) -> ec_crypto.KeyPair:
     with open(prefix + ".key", "rb") as fh:
         private = ec_crypto.private_from_bytes(fh.read())

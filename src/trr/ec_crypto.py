@@ -301,20 +301,6 @@ def keygen(rng) -> KeyPair:
     return KeyPair(k, scalar_mul(k, G))
 
 
-def keygen_even(rng) -> KeyPair:
-    """Keypair whose public key has an even y-coordinate, from one draw.
-
-    Return-path public keys travel as a bare 32-byte x-coordinate, which
-    implies even parity.  An odd draw k gives way to CURVE_ORDER - k,
-    whose public key is -kG, so rng advances as in one keygen and the
-    result stays uniform over the even-y keys.
-    """
-    kp = keygen(rng)
-    if kp.public.y % 2 == 0:
-        return kp
-    return KeyPair(CURVE_ORDER - kp.private, point_neg(kp.public))
-
-
 # -- message embedding --------------------------------------------------
 
 CHUNK_LEN = 31

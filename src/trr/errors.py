@@ -98,8 +98,8 @@ class GiveUp(TrrError):
 
 # -- simulation / analytics --------------------------------------------
 
-class InvalidConfig(TrrError):
-    """Simulation or sweep parameters violate their invariants."""
+class InvalidConfig(TrrError, ValueError):
+    """Send, simulation or sweep parameters break their rules."""
 
 
 class NotObserved(TrrError):

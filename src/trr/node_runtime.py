@@ -29,10 +29,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .ec_crypto import KeyPair, keygen_even
+from .ec_crypto import KeyPair, keygen
 from .errors import (
     DelayOutOfRange,
     GiveUp,
+    InvalidConfig,
     MalformedCipher,
     MalformedRouting,
     NextHopUnreachable,
@@ -44,14 +45,12 @@ from .errors import (
     WireError,
 )
 from .onion_routing import (
-    MAX_HOPS,
-    MIN_HOPS,
     NodeDescriptor,
     build_onion,
+    check_route_shape,
     decrypt_ack,
     encrypt_ack,
     peel_layer,
-    return_key_point,
     select_routes,
 )
 from .wire_protocol import (
@@ -223,7 +222,7 @@ class TrrNode:
         ack = TrrAck(version=1, time=self.height, rpt_ip=self.descriptor.ip,
                      err_ip=err_ip, errno=errno, errmsg=errmsg)
         self._log("acked", errno=errno)
-        return encrypt_ack(ack, return_key_point(return_pubkey), self.rng)
+        return encrypt_ack(ack, return_pubkey, self.rng)
 
     def on_new_block(self, height: int) -> list[bytes]:
         """Advance the block clock; broadcast every due transaction that
@@ -379,7 +378,8 @@ def run_node_server(node: TrrNode, host: str, port: int, *,
 @dataclass(frozen=True, slots=True)
 class SendPolicy:
     """Routes, hops, release delays and retry rounds of a send, checked
-    when built, so no send starts that a later route could not encode."""
+    when built, so no send starts that a later route could not encode:
+    InvalidConfig (a ValueError) or DelayOutOfRange."""
 
     num_routes: int = 3
     hops: int = 3
@@ -387,10 +387,10 @@ class SendPolicy:
     retry_rounds: int = 3
 
     def __post_init__(self) -> None:
-        if (self.num_routes < 1 or self.retry_rounds < 1
-                or not MIN_HOPS <= self.hops <= MAX_HOPS):
-            raise ValueError(f"num_routes >= 1, retry_rounds >= 1 and hops "
-                             f"in {MIN_HOPS}..{MAX_HOPS} required")
+        check_route_shape(self.num_routes, self.hops)
+        if not isinstance(self.retry_rounds, int) or self.retry_rounds < 1:
+            raise InvalidConfig(f"retry_rounds {self.retry_rounds!r}: an "
+                                f"integer >= 1 required")
         if not self.delays:
             raise DelayOutOfRange("no release delay given")
         for delay in self.delays:
@@ -450,13 +450,13 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
             max_delay = max(max_delay, delay)
             attempt = RouteAttempt(
                 hop_ids=tuple(h.node_id for h in route), delay=delay)
-            return_kp = keygen_even(rng)  # one per route: no shared key
+            return_kp = keygen(rng)  # one per route: no shared key
             onion = build_onion(tx, route, delay, return_kp,
                                 sent_round.dispatch_height, rng)
             first = route[0]
             try:
                 raw_ack = transport.request(first.ip, first.port, onion)
-                attempt.ack = decrypt_ack(raw_ack, return_kp.private)
+                attempt.ack = decrypt_ack(raw_ack, return_kp)
             except TrrError as exc:
                 attempt.error = f"{type(exc).__name__}: {exc}"
             sent_round.attempts.append(attempt)

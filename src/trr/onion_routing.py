@@ -14,6 +14,10 @@ releases.  Every routing header of an onion carries its route's return
 public key, so any hop can encrypt a result back; client_send draws a
 fresh return key for each route, so no two routes share one.
 
+The return key travels as a bare 32-byte x-coordinate, an encoding this
+module alone knows: encrypt_ack encrypts to the even-y point with that
+x, and decrypt_ack fits the keypair's private scalar to that point.
+
 Deviation from the paper: its trr_data time field is the client's
 clock, which would tell the releasing hop when the request entered the
 network.  build_onion writes whatever now it is given, and client_send
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from . import ec_crypto
 from .errors import (
     InsufficientNodes,
+    InvalidConfig,
     LengthMismatch,
     MalformedCipher,
     MalformedRouting,
@@ -46,6 +51,16 @@ from .wire_protocol import (
 
 MIN_HOPS = 1
 MAX_HOPS = 10
+
+
+def check_route_shape(num_routes: int, hops: int) -> None:
+    """The one rule for the routes of a send or a simulation: InvalidConfig
+    unless num_routes is an integer >= 1 and hops one in MIN_HOPS..MAX_HOPS."""
+    if not (isinstance(num_routes, int) and isinstance(hops, int)
+            and num_routes >= 1 and MIN_HOPS <= hops <= MAX_HOPS):
+        raise InvalidConfig(f"num_routes {num_routes!r} and hops {hops!r}: "
+                            f"integers required, num_routes >= 1 and hops "
+                            f"in {MIN_HOPS}..{MAX_HOPS}")
 
 @dataclass(frozen=True, slots=True)
 class NodeDescriptor:
@@ -74,11 +89,10 @@ def select_routes(directory, num_routes: int, hops_per_route: int,
 def build_onion(tx: bytes, route: tuple, release_delay: int,
                 return_keypair: ec_crypto.KeyPair, now: int, rng) -> bytes:
     """Layer-encrypt tx from the releasing hop (next address 0:0)
-    outward; the onion is the serialized outermost cipher stream."""
+    outward; the onion is the serialized outermost cipher stream.  Each
+    header carries return_keypair's x; any keypair serves (decrypt_ack)."""
     if not route:
         raise ValueError("route has no hops")
-    if return_keypair.public.y % 2 != 0:
-        raise ValueError("return keypair must have an even-parity public key")
     return_x = return_keypair.public.x.to_bytes(RETURN_PUBKEY_LEN, "big")
 
     packet = encode_trr_data(TrrData(1, now, release_delay, tx))
@@ -119,22 +133,22 @@ def peel_layer(packet: bytes,
         raise MalformedRouting(f"release payload did not decode: {exc}") from exc
 
 
-def return_key_point(return_pubkey: bytes) -> ec_crypto.CurvePoint:
-    """Reconstruct the client's return key from its 32-byte x-coordinate
-    (parity is fixed even by construction), as decode_trr_routing reads
-    it; point_from_bytes rejects any other length or an off-curve x."""
-    return ec_crypto.point_from_bytes(b"\x02" + return_pubkey)
+def encrypt_ack(ack: TrrAck, return_pubkey: bytes, rng) -> bytes:
+    """Single-layer encryption of an ack to the even-y point whose x is
+    return_pubkey, a routing header's 32 bytes (MalformedCipher if no
+    point has it); intermediate hops relay the result verbatim."""
+    point = ec_crypto.point_from_bytes(b"\x02" + return_pubkey)
+    return _encrypt_layer(encode_trr_ack(ack), point, rng)
 
 
-def encrypt_ack(ack: TrrAck, return_pubkey: ec_crypto.CurvePoint, rng) -> bytes:
-    """Single-layer encryption of an ack; intermediate hops relay the
-    result verbatim."""
-    return _encrypt_layer(encode_trr_ack(ack), return_pubkey, rng)
-
-
-def decrypt_ack(blob: bytes, return_private: int) -> TrrAck:
+def decrypt_ack(blob: bytes, return_keypair: ec_crypto.KeyPair) -> TrrAck:
+    """The ack encrypt_ack made for return_keypair's x, whose even-y
+    point is -P when P's y is odd; MalformedCipher if none decrypts."""
+    private = return_keypair.private
+    if return_keypair.public.y % 2:  # the ack was encrypted to -P
+        private = ec_crypto.CURVE_ORDER - private
     try:
         stream = ec_crypto.deserialize_cipher(blob)
-        return decode_trr_ack(ec_crypto.elgamal_decrypt(stream, return_private))
+        return decode_trr_ack(ec_crypto.elgamal_decrypt(stream, private))
     except (LengthMismatch, WireError) as exc:
         raise MalformedCipher(f"ack did not decrypt: {exc}") from exc

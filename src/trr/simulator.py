@@ -56,7 +56,7 @@ from .errors import (
     TrrTimeout,
 )
 from .node_runtime import SendPolicy, TrrNode, client_send
-from .onion_routing import MAX_HOPS, MIN_HOPS, NodeDescriptor
+from .onion_routing import MAX_HOPS, NodeDescriptor, check_route_shape
 from .wire_protocol import MAX_TX_SIZE
 
 HONEST = "honest"
@@ -71,7 +71,8 @@ MAX_CHAINS_PER_RELEASE = 65  # bounds AttackLedger.reconstruct on pooled ledgers
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
-    """One parameter point; it checks itself when built (InvalidConfig)."""
+    """One parameter point; it checks itself when built (InvalidConfig):
+    check_route_shape, integer n_nodes, trials and seed, and the rates."""
 
     n_nodes: int = 6000
     dishonest_rate: float = 0.0
@@ -82,17 +83,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_nodes < self.hops or self.n_nodes < 1:
+        check_route_shape(self.num_routes, self.hops)
+        ints = (self.n_nodes, self.trials, self.seed)
+        if not all(isinstance(v, int) for v in ints) or self.trials < 1:
+            raise InvalidConfig("n_nodes, trials, seed: integers; trials >= 1")
+        if self.n_nodes < self.hops:
             raise InvalidConfig("n_nodes must cover at least one route")
         if not (0 <= self.dishonest_rate <= 1 and 0 <= self.fake_rate <= 1):
             raise InvalidConfig("rates must lie in [0, 1]")
         if self.dishonest_rate + self.fake_rate > 1:
             raise InvalidConfig("dishonest_rate + fake_rate must not exceed 1")
-        if self.num_routes < 1 or not MIN_HOPS <= self.hops <= MAX_HOPS:
-            raise InvalidConfig(f"num_routes >= 1 and hops in "
-                                f"{MIN_HOPS}..{MAX_HOPS} required")
-        if self.trials < 1:
-            raise InvalidConfig("trials must be at least 1")
 
 
 def _splitmix64(x: int) -> int:

@@ -34,22 +34,22 @@ from .errors import (
 
 MAGIC = b"TRR1"
 COMMANDS = ("vertrr", "trr", "track")
-FRAME_HEADER_LEN = 24
 MAX_FRAME_PAYLOAD = 1 << 20  # largest payload a frame header may declare
 
 MAX_TX_SIZE = 10240
 MIN_RELEASE_DELAY = 1
 MAX_RELEASE_DELAY = 5
 
-TRR_ROUTING_HEADER_LEN = 41
-TRR_ACK_LEN = 45
 RETURN_PUBKEY_LEN = 32
 ERRMSG_LEN = 30
 
 _DATA_HDR = struct.Struct("<BIQH")
-_ROUTING_HDR = struct.Struct("<B32sIHH")
-_ACK = struct.Struct("<BIIIH30s")
+_ROUTING_HDR = struct.Struct(f"<B{RETURN_PUBKEY_LEN}sIHH")
+_ACK = struct.Struct(f"<BIIIH{ERRMSG_LEN}s")
 _FRAME_HDR = struct.Struct("<4s12sI4s")
+FRAME_HEADER_LEN = _FRAME_HDR.size
+TRR_ROUTING_HEADER_LEN = _ROUTING_HDR.size
+TRR_ACK_LEN = _ACK.size
 _COMMAND_FIELDS = {c.encode("ascii").ljust(12, b"\x00"): c for c in COMMANDS}
 
 
@@ -155,7 +155,7 @@ class TrrRouting:
     """Per-hop routing header: where to send the remaining payload.
 
     dst_ip == 0 marks the releasing hop (no next node).  return_pubkey
-    is the x-coordinate of the client's even-parity return key.
+    is the x-coordinate of the client's return key (see onion_routing).
     """
 
     version: int

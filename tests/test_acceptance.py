@@ -26,6 +26,8 @@ from trr.simulator import SimConfig, SimWorld, estimate_srd, estimate_srtr, sybi
 
 from pathlib import Path
 
+from test_analytics import srd_route_prob_brute
+
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -83,21 +85,6 @@ def test_criterion_1_unreproducible_reference_points(d, r, h, reference):
 
 # -- criterion 2: SRD closed form --------------------------------------------
 
-def deanonymization_route_prob_brute(f: Fraction, h: int) -> Fraction:
-    """Enumerate every observer pattern; both ends observed and no two
-    consecutive unobserved hops means the route reconstructs."""
-    if h == 1:
-        return f
-    total = Fraction(0)
-    interior = h - 2
-    for bits in itertools.product([True, False], repeat=interior):
-        flags = (True,) + bits + (True,)
-        if all(flags[i] or flags[i + 1] for i in range(len(flags) - 1)):
-            k = sum(bits)
-            total += f ** (k + 2) * (1 - f) ** (interior - k)
-    return total
-
-
 def test_criterion_2_srd_closed_form():
     low = [srd_closed_form(SimConfig(fake_rate=0.1, hops=h)) for h in (2, 3, 4, 5)]
     assert abs(low[0] - 0.0297) <= 0.0005 and low[0] <= 0.030
@@ -122,7 +109,7 @@ def test_criterion_2_srd_closed_form():
                     srd_closed_form(SimConfig(fake_rate=f, hops=h,
                                               num_routes=1))
                 got = f * f * chain_coverage_prob(f, h - 2)
-            want = deanonymization_route_prob_brute(f, h)
+            want = srd_route_prob_brute(f, h)
             assert got == want, (f, h, got, want)
             checked += 1
     check("criterion 2 (SRD closed form + brute-force agreement)", True,
@@ -201,7 +188,7 @@ def test_criterion_5_cipher_growth():
     assert ratios[-1] <= 1.5, f"10240-byte ratio {ratios[-1]:.3f}"
     world = SimWorld(SimConfig(n_nodes=5, seed=3))
     onion = build_onion(rng.randbytes(256), tuple(world.directory),
-                        1, ec.keygen_even(rng), 0, rng)
+                        1, ec.keygen(rng), 0, rng)
     assert len(onion) <= 1200, f"256-byte tx, 5-hop onion is {len(onion)} bytes"
     check("criterion 5 (growth ratio decreasing, bounds)", True,
           f"ratios {' > '.join(f'{r:.2f}' for r in ratios)}; "
@@ -260,7 +247,7 @@ def test_criterion_8_release_delay():
     rng = random.Random(0x88)
     for k in range(1, 6):
         node = world.nodes[k]
-        ret = ec.keygen_even(rng)
+        ret = ec.keygen(rng)
         tx = bytes([k]) * 16
         onion = build_onion(tx, (world.directory[k],), k, ret, 0, rng)
         node.serve_request(onion, (1, 1))
@@ -271,7 +258,7 @@ def test_criterion_8_release_delay():
     # duplicate release across two routes broadcasts exactly once
     tx = b"\xee" * 20
     a, b = world.nodes[6], world.nodes[7]
-    ret = ec.keygen_even(rng)
+    ret = ec.keygen(rng)
     a.serve_request(build_onion(tx, (world.directory[6],), 1, ret, 0, rng), (1, 1))
     b.serve_request(build_onion(tx, (world.directory[7],), 2, ret, 0, rng), (1, 1))
     a.on_new_block(a.height + 1)

@@ -94,6 +94,11 @@ class TestSrd:
             assert all(f ** m <= v <= 1 for m, v in enumerate(values))
             assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("f", [0.3, Fraction(1, 3)])
+    def test_coverage_prob_negative_hops(self, f):
+        with pytest.raises(ValueError, match="non-negative"):
+            chain_coverage_prob(f, -1)
+
     def test_closed_forms_reject_what_the_protocol_rejects(self):
         # SimConfig checks itself when built, so no closed form can be
         # handed hops above MAX_HOPS, rates summing past 1 or an empty

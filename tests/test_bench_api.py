@@ -8,11 +8,17 @@ trrbench/.
 """
 
 import inspect
+import random
+import socket
+import threading
+import time
 
 import pytest
 
 from trr import cli, ec_crypto, errors, node_runtime, onion_routing, simulator
 from trr import wire_protocol
+
+from test_node_runtime import node_server
 
 USED = {
     ec_crypto: ("scalar_mul", "elgamal_encrypt", "elgamal_decrypt",
@@ -81,3 +87,22 @@ def test_world_members_bind():
     for name in ("broadcast", "seen_in_blockchain_or_mempool"):
         assert callable(getattr(node.view, name))
     assert world.broadcast.log == [] and world.attack_ledger.entries == []
+
+
+def test_connection_threads_keep_their_default_name():
+    # the harness waits for the per-connection threads of run_node_server
+    # by the name Python gives Thread(target=serve_connection); a worker
+    # pool would leave it nothing to wait for
+    rng = random.Random(1)
+    keypair = ec_crypto.keygen(rng)
+    me = onion_routing.NodeDescriptor("n0", wire_protocol.parse_ipv4(
+        "127.0.0.1"), 1, keypair.public)
+    node = node_runtime.TrrNode(keypair, me, None, None, rng)
+    with node_server(node, timeout=5.0) as (port, _), \
+            socket.create_connection(("127.0.0.1", port), timeout=1):
+        deadline = time.monotonic() + 2
+        while not any(t.name.endswith("(serve_connection)")
+                      for t in threading.enumerate()):
+            assert time.monotonic() < deadline, [
+                t.name for t in threading.enumerate()]
+            time.sleep(0.01)

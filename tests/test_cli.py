@@ -15,9 +15,9 @@ from trr import node_runtime as nr
 from trr.cli import (
     FileBlockClock,
     FileBroadcastView,
+    _print_report,
     load_directory,
     main,
-    save_directory,
 )
 from trr.onion_routing import NodeDescriptor
 from trr.wire_protocol import format_ipv4, parse_ipv4
@@ -27,6 +27,14 @@ def free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+def save_directory(path: str, directory: list[NodeDescriptor]) -> None:
+    """Write directory in the format load_directory reads."""
+    with open(path, "w", encoding="ascii") as fh:
+        for d in directory:
+            fh.write(f"{d.node_id},{format_ipv4(d.ip)},{d.port},"
+                     f"{ec.point_to_bytes(d.pubkey).hex()}\n")
 
 
 def seed_send(monkeypatch, seed: int) -> None:
@@ -87,6 +95,16 @@ class TestDirectoryFiles:
         path.write_text(f"n0,10.0.0.1,{port},"
                         f"{ec.point_to_bytes(pubkey).hex()}\n")
         with pytest.raises(ValueError, match="nodes.csv:1"):
+            load_directory(str(path))
+
+    @pytest.mark.parametrize("key_hex", [
+        "aa" * 32,  # an x without its parity prefix
+        "02" + "ff" * 32,  # an x at or above the field prime
+    ])
+    def test_bad_pubkey_reports_line(self, tmp_path, key_hex):
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"# header\nn0,10.0.0.1,8000,{key_hex}\n")
+        with pytest.raises(ValueError, match="nodes.csv:2: bad directory"):
             load_directory(str(path))
 
     def test_non_ascii_byte_reports_line(self, tmp_path):
@@ -503,6 +521,15 @@ class TestSendIntegration:
         assert code == 1
         assert f"errno={nr.ERR_UNREACHABLE}" in captured.out
         assert "err=127.0.0.1" in captured.out
+
+    @pytest.mark.parametrize("error", ["PeerClosed: gone", "TrrTimeout: late"])
+    def test_report_names_attempt_without_ack(self, capsys, error):
+        attempt = nr.RouteAttempt(hop_ids=("n0", "n1"), delay=2, error=error)
+        report = nr.SendReport(txid=bytes(32), success=False, rounds=[
+            nr.SendRound(dispatch_height=0, attempts=[attempt])])
+        _print_report(report)
+        assert (f"  round 1 delay 2 via n0>n1: no ack ({error})\n"
+                in capsys.readouterr().out)
 
     def test_send_takes_no_seed(self, capsys):
         # a guessable seed would fix the return key and every layer nonce

@@ -193,21 +193,6 @@ class TestKeygen:
         for _ in range(1000):
             assert on_curve_oracle(ec.keygen(rng).public)
 
-    def test_even_keygen_parity(self, rng):
-        for _ in range(50):
-            kp = ec.keygen_even(rng)
-            assert kp.public.y % 2 == 0
-            assert ec.scalar_mul(kp.private, ec.G) == kp.public
-
-    def test_even_keygen_negates_an_odd_draw(self):
-        once, even = random.Random(1), random.Random(1)
-        odd = ec.keygen(once)
-        assert odd.public.y % 2 == 1  # seed 1 draws an odd key first
-        kp = ec.keygen_even(even)
-        assert even.getstate() == once.getstate()  # no second draw
-        assert kp.private == N - odd.private
-        assert kp.public == ec.point_neg(odd.public)
-
 
 class TestEmbedding:
     def test_zero_chunk(self):

@@ -17,6 +17,8 @@ from trr.errors import (
     BadMagic,
     DelayOutOfRange,
     GiveUp,
+    InvalidConfig,
+    MalformedCipher,
     NotTrr,
     PeerClosed,
     SizeMismatch,
@@ -49,7 +51,7 @@ def world():
 def make_onion(world, route_ids, tx, delay=1, seed=5, extra_hops=()):
     rng = random.Random(seed)
     hops = tuple(world.directory[i] for i in route_ids) + tuple(extra_hops)
-    ret = ec.keygen_even(rng)
+    ret = ec.keygen(rng)
     return build_onion(tx, hops, delay, ret, now=0, rng=rng), ret
 
 
@@ -81,7 +83,7 @@ class TestServeConnection:
         nr.serve_connection(world.nodes[0], conn)
         assert conn.closed
         assert [c for c, _ in conn.sent] == ["vertrr", "track"]
-        ack = decrypt_ack(conn.sent[1][1], ret.private)
+        ack = decrypt_ack(conn.sent[1][1], ret)
         assert ack.errno == nr.ERR_OK
 
     def test_serves_connection_without_peer_address(self, world):
@@ -90,7 +92,7 @@ class TestServeConnection:
         onion, ret = make_onion(world, [0, 1], b"tx bytes")
         conn = FakeConn([("vertrr", b""), ("trr", onion)])
         nr.serve_connection(world.nodes[0], conn)
-        ack = decrypt_ack(conn.sent[1][1], ret.private)
+        ack = decrypt_ack(conn.sent[1][1], ret)
         assert (ack.errno, ack.rpt_ip) == (nr.ERR_OK, world.directory[1].ip)
 
     def test_ack_time_is_node_block_height(self, world):
@@ -99,7 +101,7 @@ class TestServeConnection:
         onion, ret = make_onion(world, [0], b"tx bytes")
         conn = FakeConn([("vertrr", b""), ("trr", onion)])
         nr.serve_connection(node, conn)
-        assert decrypt_ack(conn.sent[1][1], ret.private).time == 7
+        assert decrypt_ack(conn.sent[1][1], ret).time == 7
 
     def test_first_frame_not_vertrr_refused(self, world):
         onion, _ = make_onion(world, [0], b"tx")
@@ -121,13 +123,26 @@ class TestServeConnection:
         assert [c for c, _ in conn.sent] == ["vertrr"]
         assert world.nodes[0].events == {"peel_failed": 1}
 
+    @pytest.mark.parametrize("via", ["peel_layer", "transport"])
+    def test_zero_block_layer_refused(self, world, via):
+        # a well-formed 37-byte stream (c2 and a block count) with no block
+        packet = ec.point_to_bytes(ec.G) + (0).to_bytes(4, "little")
+        first = world.directory[0]
+        if via == "peel_layer":
+            with pytest.raises(MalformedCipher, match="no blocks"):
+                peel_layer(packet, world.nodes[0].keypair.private)
+        else:
+            with pytest.raises(PeerClosed):
+                world.transport.request(first.ip, first.port, packet)
+            assert world.nodes[0].events == {"peel_failed": 1}
+
 
 class TestHandleRequest:
     def test_release_enqueues_and_acks(self, world):
         node = world.nodes[3]
         onion, ret = make_onion(world, [3], b"the tx", delay=4)
         before = len(node.pool)
-        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret.private)
+        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret)
         assert ack.errno == nr.ERR_OK
         assert ack.rpt_ip == node.descriptor.ip
         assert len(node.pool) == before + 1
@@ -138,7 +153,7 @@ class TestHandleRequest:
     def test_forward_relays_ack_verbatim(self, world):
         onion, ret = make_onion(world, [0, 1], b"tx")
         raw_ack = world.nodes[0].serve_request(onion, CLIENT_ADDR)
-        ack = decrypt_ack(raw_ack, ret.private)
+        ack = decrypt_ack(raw_ack, ret)
         assert ack.errno == nr.ERR_OK
         assert ack.rpt_ip == world.nodes[1].descriptor.ip  # releasing node speaks
         assert world.nodes[1].pool
@@ -148,7 +163,7 @@ class TestHandleRequest:
                               port=8333, pubkey=ec.keygen(random.Random(1)).public)
         onion, ret = make_onion(world, [2], b"tx", extra_hops=(dead,))
         ack = decrypt_ack(world.nodes[2].serve_request(onion, CLIENT_ADDR),
-                          ret.private)
+                          ret)
         assert ack.errno == nr.ERR_UNREACHABLE
         assert ack.err_ip == dead.ip
         assert ack.rpt_ip == world.nodes[2].descriptor.ip
@@ -160,12 +175,12 @@ class TestHandleRequest:
         node.pool = {nr.txid(tx): nr.PendingRelease(tx, nr.txid(tx), 99)
                      for tx in fillers}  # the 1001st distinct tx must bounce
         onion, ret = make_onion(world, [4], b"tx")
-        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret.private)
+        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret)
         assert ack.errno == nr.ERR_POOL_FULL
         assert len(node.pool) == nr.POOL_CAPACITY
         # a tx already pending is no new entry, so a full pool still takes it
         onion, ret = make_onion(world, [4], fillers[7], delay=2)
-        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret.private)
+        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret)
         assert ack.errno == nr.ERR_OK
         assert len(node.pool) == nr.POOL_CAPACITY
         assert node.pool[nr.txid(fillers[7])].release_height == node.height + 2
@@ -175,7 +190,7 @@ class TestHandleRequest:
         for delay, kept in [(4, 4), (2, 2), (5, 2)]:  # the earlier height wins
             onion, ret = make_onion(world, [11], b"one tx", delay=delay)
             ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR),
-                              ret.private)
+                              ret)
             assert ack.errno == nr.ERR_OK
             assert [p.release_height for p in node.pool.values()] == [kept]
         assert node.events["enqueued"] == 1
@@ -187,7 +202,7 @@ class TestHandleRequest:
         first = world.directory[0]
         acks = [decrypt_ack(world.transport.request(first.ip, first.port,
                                                     onion, CLIENT_ADDR),
-                            ret.private)
+                            ret)
                 for _ in range(5)]  # one capture, replayed
         assert [ack.errno for ack in acks] == [nr.ERR_OK] * 5
         releasing = world.nodes[2]
@@ -200,7 +215,7 @@ class TestHandleRequest:
         onion, ret = make_onion(world, [3, 5], b"timed tx")
         first = world.directory[3]
         ack = decrypt_ack(world.transport.request(first.ip, first.port, onion),
-                          ret.private)
+                          ret)
         assert ack.rpt_ip == world.directory[5].ip
         assert ack.time == world.nodes[5].height == 4
         assert world.clock.tick > 400  # the tick is no ack's time
@@ -209,7 +224,7 @@ class TestHandleRequest:
         node = world.nodes[5]
         node.view.verify = lambda tx: False
         onion, ret = make_onion(world, [5], b"tx")
-        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret.private)
+        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret)
         assert ack.errno == nr.ERR_INVALID_TX
         assert not node.pool
 
@@ -292,7 +307,7 @@ class TestNodeMemory:
         me = NodeDescriptor(node_id="n0", ip=LOOPBACK, port=8333,
                             pubkey=keypair.public)
         onions = [build_onion(rng.randbytes(200), (me,), 1,
-                              ec.keygen_even(rng), now=0, rng=rng)
+                              ec.keygen(rng), now=0, rng=rng)
                   for _ in range(200)]
         view = MemoryView()
         node = nr.TrrNode(keypair, me, None, view, random.Random(3))
@@ -340,6 +355,13 @@ class TestSendPolicy:
         # zero rounds once gave up without sending anything
         with pytest.raises(ValueError):
             nr.SendPolicy(retry_rounds=retry_rounds)
+
+    @pytest.mark.parametrize("field", ["num_routes", "hops", "retry_rounds"])
+    def test_non_integer_refused(self, field):
+        # 2.5 once built, and a send then raised a bare TypeError
+        with pytest.raises(InvalidConfig) as info:
+            nr.SendPolicy(**{field: 2.5})
+        assert isinstance(info.value, ValueError)
 
     def test_replace_checks_and_fields_are_frozen(self):
         policy = nr.SendPolicy()
@@ -547,7 +569,7 @@ class TestFrameSocket:
         with node_server(node) as (port, server):
             onion, ret = make_onion(world, [0], b"tcp tx")
             raw = nr.TcpTransport(timeout=2.0).request(LOOPBACK, port, onion)
-            ack = decrypt_ack(raw, ret.private)
+            ack = decrypt_ack(raw, ret)
             assert ack.errno == nr.ERR_OK
             assert [p.tx for p in node.pool.values()] == [b"tcp tx"]
             assert server.is_alive()  # this server answered, not another one
@@ -587,13 +609,13 @@ class TestFrameSocket:
             successor = NodeDescriptor(1, next_ip, listener.getsockname()[1],
                                        ec.keygen(rng).public)
             node = nr.TrrNode(kp, me, nr.TcpTransport(timeout=2.0), None, rng)
-            ret = ec.keygen_even(rng)
+            ret = ec.keygen(rng)
             onion = build_onion(b"tx", (me, successor), 1, ret, 0, rng)
             with node_server(node) as (port, _):
                 raw = nr.TcpTransport(timeout=2.0).request(LOOPBACK, port, onion)
             replier.join(timeout=3)
         assert not replier.is_alive()
-        ack = decrypt_ack(raw, ret.private)
+        ack = decrypt_ack(raw, ret)
         assert ack.errno == nr.ERR_NOT_TRR
         assert (ack.rpt_ip, ack.err_ip) == (LOOPBACK, next_ip)
         assert ack.errmsg == b"NotTrr"
@@ -620,12 +642,12 @@ class TestFrameSocket:
             silent = stack.enter_context(socket.create_server(("127.0.0.3", 0)))
             route.append(NodeDescriptor(2, silent_ip, silent.getsockname()[1],
                                         keys[2].public))
-            ret = ec.keygen_even(rng)
+            ret = ec.keygen(rng)
             onion = build_onion(b"tx", tuple(route), 1, ret, 0, rng)
             try:
                 raw = nr.TcpTransport(1.0).request(route[0].ip, route[0].port,
                                                    onion)
-                ack = decrypt_ack(raw, ret.private)
+                ack = decrypt_ack(raw, ret)
             except TrrTimeout:
                 ack = None  # no ack reached the client
         assert ack is not None, "the client got no ack"

@@ -15,7 +15,6 @@ from trr.onion_routing import (
     decrypt_ack,
     encrypt_ack,
     peel_layer,
-    return_key_point,
     select_routes,
 )
 from trr.wire_protocol import (
@@ -42,9 +41,14 @@ def directory(keypool):
             for i, kp in enumerate(keypool)]
 
 
+def x32(keypair) -> bytes:
+    """A return key as a routing header carries it."""
+    return keypair.public.x.to_bytes(32, "big")
+
+
 def build_and_peel(tx, hops, keypool, directory, rng, delay=1):
     route = tuple(directory[:hops])
-    ret = ec.keygen_even(rng)
+    ret = ec.keygen(rng)
     packet = build_onion(tx, route, delay, ret, now=0, rng=rng)
     for i in range(hops - 1):
         routing, data = peel_layer(packet, keypool[i].private)
@@ -133,7 +137,7 @@ class TestOnion:
     def test_wrong_key_raises_malformed_routing(self, keypool, directory):
         rng = random.Random(37)
         route = tuple(directory[:3])
-        packet = build_onion(b"tx", route, 1, ec.keygen_even(rng), 0, rng)
+        packet = build_onion(b"tx", route, 1, ec.keygen(rng), 0, rng)
         with pytest.raises(MalformedRouting):
             peel_layer(packet, keypool[5].private)
 
@@ -141,16 +145,16 @@ class TestOnion:
         # hop i's key opens only layer i
         rng = random.Random(41)
         route = tuple(directory[:4])
-        packet = build_onion(b"tx bytes", route, 1, ec.keygen_even(rng), 0, rng)
+        packet = build_onion(b"tx bytes", route, 1, ec.keygen(rng), 0, rng)
         for wrong in (1, 2, 3):
             with pytest.raises(MalformedRouting):
                 peel_layer(packet, keypool[wrong].private)
 
     def test_release_with_bad_data_raises_malformed_routing(self, keypool):
         rng = random.Random(39)
-        ret = ec.keygen_even(rng)
+        ret = ec.keygen(rng)
         header = TrrRouting(  # a release whose payload is no trr_data
-            version=1, return_pubkey=ret.public.x.to_bytes(32, "big"),
+            version=1, return_pubkey=x32(ret),
             dst_ip=0, port=0, payload=b"\x01\x02")
         packet = ec.serialize_cipher(ec.elgamal_encrypt(
             encode_trr_routing(header), keypool[0].public, rng))
@@ -167,7 +171,7 @@ class TestOnion:
         rng = random.Random(43)
         route = tuple(directory[:3])
         packet = build_onion(rng.randbytes(200), route, 1,
-                             ec.keygen_even(rng), 0, rng)
+                             ec.keygen(rng), 0, rng)
         routing, _ = peel_layer(packet, keypool[0].private)
         received_grams = {packet[i:i + 8] for i in range(len(packet) - 7)}
         forwarded = routing.payload
@@ -177,7 +181,7 @@ class TestOnion:
 
     def test_onion_size_function_of_lengths_only(self, keypool, directory):
         rng = random.Random(47)
-        ret = ec.keygen_even(rng)
+        ret = ec.keygen(rng)
         route_a = tuple(directory[:5])
         route_b = tuple(directory[5:10])
         a = build_onion(b"\x00" * 256, route_a, 1, ret, 0, rng)
@@ -193,21 +197,26 @@ class TestOnion:
     def test_return_pubkey_present_at_every_hop(self, keypool, directory):
         rng = random.Random(59)
         route = tuple(directory[:3])
-        ret = ec.keygen_even(rng)
-        expected = ret.public.x.to_bytes(32, "big")
+        ret = ec.keygen(rng)
+        expected = x32(ret)
         packet = build_onion(b"tx", route, 1, ret, 0, rng)
         for i in range(3):
             routing, _ = peel_layer(packet, keypool[i].private)
             assert routing.return_pubkey == expected
             packet = routing.payload
 
-    def test_odd_return_key_rejected(self, keypool, directory):
-        rng = random.Random(61)
-        kp = ec.keygen(rng)
-        while kp.public.y % 2 == 0:
-            kp = ec.keygen(rng)
-        with pytest.raises(ValueError):
-            build_onion(b"tx", tuple(directory[:2]), 1, kp, 0, rng)
+    def test_odd_return_key_acked(self, keypool, directory):
+        # a hop encrypts to the even-y point with the header's x, which
+        # is -P for an odd-y P; decrypt_ack still opens the ack
+        rng = random.Random(1)
+        ret = ec.keygen(rng)
+        assert ret.public.y % 2 == 1  # seed 1 draws an odd key first
+        packet = build_onion(b"tx", tuple(directory[:2]), 1, ret, 0, rng)
+        routing, _ = peel_layer(packet, keypool[0].private)
+        routing, _ = peel_layer(routing.payload, keypool[1].private)
+        ack = TrrAck(1, 0, directory[1].ip, 0, 0, b"")
+        blob = encrypt_ack(ack, routing.return_pubkey, rng)
+        assert decrypt_ack(blob, ret) == ack and ack.errno == 0
 
     def test_seeded_onion_bytes_are_pinned(self):
         # pins scalar multiplication, chunk embedding and serialization
@@ -217,7 +226,7 @@ class TestOnion:
         route = tuple(NodeDescriptor(node_id=i, ip=0x0A000001 + i, port=8333,
                                      pubkey=ec.keygen(rng).public)
                       for i in range(3))
-        ret = ec.keygen_even(rng)
+        ret = ec.keygen(rng)
         packet = build_onion(rng.randbytes(250), route, 3, ret, 1000, rng)
         assert len(packet) == 631
         assert hashlib.sha256(packet).hexdigest() == (
@@ -227,10 +236,10 @@ class TestOnion:
 class TestAckPath:
     def test_roundtrip(self):
         rng = random.Random(67)
-        ret = ec.keygen_even(rng)
+        ret = ec.keygen(rng)
         ack = TrrAck(1, 12345, parse_ipv4("10.0.0.9"), 0, 0, b"")
-        blob = encrypt_ack(ack, ret.public, rng)
-        assert decrypt_ack(blob, ret.private) == ack
+        blob = encrypt_ack(ack, x32(ret), rng)
+        assert decrypt_ack(blob, ret) == ack
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="every block of one cipher is masked by the same "
@@ -239,9 +248,9 @@ class TestAckPath:
                        "the return key (ROADMAP item 2)")
     def test_success_ack_unreadable_without_return_key(self):
         rng = random.Random(73)
-        ret = ec.keygen_even(rng)
+        ret = ec.keygen(rng)
         ack = TrrAck(1, 12345, parse_ipv4("10.0.0.9"), 0, 0, b"")
-        blocks = ec.deserialize_cipher(encrypt_ack(ack, ret.public, rng)).blocks
+        blocks = ec.deserialize_cipher(encrypt_ack(ack, x32(ret), rng)).blocks
         assert len(blocks) == 2
         mask = ec.point_add(blocks[1], ec.point_neg(ec.embed_chunk(b"\0" * 31)))
         first = ec.chunk_from_point(ec.point_add(blocks[0], ec.point_neg(mask)))
@@ -256,7 +265,7 @@ class TestAckPath:
                        "that hop's key (ROADMAP item 2)")
     def test_next_layer_unreadable_by_first_hop(self, keypool, directory):
         rng = random.Random(89)
-        ret = ec.keygen_even(rng)
+        ret = ec.keygen(rng)
         packet = build_onion(b"tx bytes", tuple(directory[:3]), 1, ret,
                              now=0, rng=rng)
         routing, _ = peel_layer(packet, keypool[0].private)  # its own layer only
@@ -276,32 +285,26 @@ class TestAckPath:
                              TRR_ROUTING_HEADER_LEN + size == length))
         assert (directory[2].ip, directory[2].port, True) not in read
 
-    def test_point_reconstruction_from_x(self):
-        rng = random.Random(71)
-        ret = ec.keygen_even(rng)
-        x32 = ret.public.x.to_bytes(32, "big")
-        assert return_key_point(x32) == ret.public
-
     def test_success_ack_ciphertext_constant_length(self):
         # 45-byte acks: 4-byte prefix + 45 = 49 -> 2 chunks -> 70 + 33
         rng = random.Random(73)
-        ret = ec.keygen_even(rng)
+        ret = ec.keygen(rng)
         sizes = set()
         for t in range(10):
             ack = TrrAck(1, t, t, 0, 0, b"")
-            sizes.add(len(encrypt_ack(ack, ret.public, rng)))
+            sizes.add(len(encrypt_ack(ack, x32(ret), rng)))
         assert sizes == {33 + 4 + 2 * 33}
 
     def test_wrong_key_never_crashes(self):
         rng = random.Random(79)
-        ret, other = ec.keygen_even(rng), ec.keygen_even(rng)
-        blob = encrypt_ack(TrrAck(1, 0, 0, 0, 0, b"ok"), ret.public, rng)
+        ret, other = ec.keygen(rng), ec.keygen(rng)
+        blob = encrypt_ack(TrrAck(1, 0, 0, 0, 0, b"ok"), x32(ret), rng)
         with pytest.raises(MalformedCipher):
-            decrypt_ack(blob, other.private)
+            decrypt_ack(blob, other)
 
     def test_truncated_blob(self):
         rng = random.Random(83)
-        ret = ec.keygen_even(rng)
-        blob = encrypt_ack(TrrAck(1, 0, 0, 0, 0, b""), ret.public, rng)
+        ret = ec.keygen(rng)
+        blob = encrypt_ack(TrrAck(1, 0, 0, 0, 0, b""), x32(ret), rng)
         with pytest.raises(MalformedCipher):
-            decrypt_ack(blob[:50], ret.private)
+            decrypt_ack(blob[:50], ret)

@@ -49,6 +49,13 @@ class TestConfig:
         {"hops": 11},
         {"num_routes": 0},
         {"n_nodes": 2, "hops": 3},
+        # non-integers once built: n_nodes=6e3 shifted estimate_srtr and
+        # made estimate_srd raise TypeError
+        {"n_nodes": 6e3},
+        {"hops": 2.5},
+        {"num_routes": 1.5},
+        {"trials": 2.5},
+        {"seed": 1.5},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfig):
@@ -399,7 +406,7 @@ class TestLazyWorld:
         rng = random.Random(18)
         tx = b"late node tx"
         node.serve_request(build_onion(tx, (world.directory[21],), 2,
-                                       ec.keygen_even(rng), 0, rng), (1, 1))
+                                       ec.keygen(rng), 0, rng), (1, 1))
         assert [p.release_height for p in node.pool.values()] == [5]
         world.clock.advance_block()
         assert not world.broadcast.log
@@ -615,11 +622,11 @@ class TestPoolInvariant:
         node, rng = world.nodes[5], random.Random(60)
         errnos = []
         for i in range(6):  # distinct txs, each served straight to node 5
-            return_kp = ec.keygen_even(rng)
+            return_kp = ec.keygen(rng)
             onion = build_onion(bytes([i + 1]) * 8, (world.directory[5],), 5,
                                 return_kp, 0, rng)
             errnos.append(decrypt_ack(node.serve_request(onion, (1, 1)),
-                                      return_kp.private).errno)
+                                      return_kp).errno)
             assert len(node.pool) <= 2
         assert errnos == [nr.ERR_OK] * 2 + [nr.ERR_POOL_FULL] * 4
         assert node.events["pool_full"] == 4

@@ -126,6 +126,13 @@ class TestTrrData:
         with pytest.raises(SizeMismatch):
             wp.encode_trr_data(wp.TrrData(1, 0, 1, bytes(10241)))
 
+    @pytest.mark.parametrize("size", [10241, 0xFFFF])
+    def test_decode_oversized_tx_size(self, size):
+        raw = bytearray(wp.encode_trr_data(wp.TrrData(1, 0, 1, bytes(10240))))
+        raw[13:15] = size.to_bytes(2, "little")  # the tx_size field
+        with pytest.raises(SizeMismatch, match=f"tx_size {size} exceeds"):
+            wp.decode_trr_data(bytes(raw) + bytes(size - 10240))
+
     def test_truncated_and_trailing(self):
         raw = wp.encode_trr_data(wp.TrrData(1, 0, 1, b"abcd"))
         with pytest.raises(Truncated):
@@ -149,6 +156,12 @@ class TestTrrRouting:
         r = wp.TrrRouting(1, bytes(32), 0, 0, b"")
         decoded = wp.decode_trr_routing(wp.encode_trr_routing(r))
         assert decoded.is_release
+
+    @pytest.mark.parametrize("length", [31, 33])
+    def test_return_pubkey_length(self, length):
+        r = wp.TrrRouting(1, bytes(length), 0, 0, b"")
+        with pytest.raises(ValueError, match="return_pubkey must be 32 bytes"):
+            wp.encode_trr_routing(r)
 
     def test_payload_too_large(self):
         r = wp.TrrRouting(1, bytes(32), 0, 0, bytes(65536))
