@@ -62,6 +62,7 @@ def check_route_shape(num_routes: int, hops: int) -> None:
                             f"integers required, num_routes >= 1 and hops "
                             f"in {MIN_HOPS}..{MAX_HOPS}")
 
+
 @dataclass(frozen=True, slots=True)
 class NodeDescriptor:
     """Directory entry for one relay node."""
