@@ -11,12 +11,10 @@ from the inside out:
 Each hop's peel_layer yields the decoded TrrRouting, whose payload it
 forwards verbatim, or at dst_ip == 0 also the decoded TrrData it
 releases.  Every routing header of an onion carries its route's return
-public key, so any hop can encrypt a result back; client_send draws a
-fresh return key for each route, so no two routes share one.
-
-The return key travels as a bare 32-byte x-coordinate, an encoding this
-module alone knows: encrypt_ack encrypts to the even-y point with that
-x, and decrypt_ack fits the keypair's private scalar to that point.
+public key as a bare 32-byte x-coordinate, an encoding this module alone
+knows: any hop can encrypt a result back to the even-y point with that
+x, and decrypt_ack fits the keypair to it.  client_send draws a fresh
+return key for each route, so no two routes share one.
 
 Deviation from the paper: its trr_data time field is the client's
 clock, which would tell the releasing hop when the request entered the
