@@ -214,9 +214,9 @@ class TestOnion:
         packet = build_onion(b"tx", tuple(directory[:2]), 1, ret, 0, rng)
         routing, _ = peel_layer(packet, keypool[0].private)
         routing, _ = peel_layer(routing.payload, keypool[1].private)
-        ack = TrrAck(1, 0, directory[1].ip, 0, 0, b"")
+        ack = TrrAck(1, 0, directory[1].ip, 0, 0, b"")  # errno 0: success
         blob = encrypt_ack(ack, routing.return_pubkey, rng)
-        assert decrypt_ack(blob, ret) == ack and ack.errno == 0
+        assert decrypt_ack(blob, ret) == ack
 
     def test_seeded_onion_bytes_are_pinned(self):
         # pins scalar multiplication, chunk embedding and serialization
