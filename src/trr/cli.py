@@ -239,7 +239,7 @@ def cmd_node(args) -> int:
         pubkey=keypair.public)
     node = node_runtime.TrrNode(
         keypair, descriptor, node_runtime.TcpTransport(args.timeout), view,
-        random.SystemRandom())
+        None)
     clock = FileBlockClock(args.block_file)
     node.height = clock.height()
     pubkey_hex = ec_crypto.point_to_bytes(keypair.public).hex()

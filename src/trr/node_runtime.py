@@ -2,8 +2,9 @@
 
 A node serves one request per short-lived connection: handshake with a
 ``vertrr`` frame, receive one ``trr`` frame, then either relay the
-payload to the next hop (returning the downstream ``track`` verbatim)
-or enqueue the transaction for delayed release and ack immediately.
+payload to the next hop (returning the downstream ``track`` under one
+more layer of its own ack key) or enqueue the transaction for delayed
+release and ack immediately.
 Connections shut down node by node as each exchange completes.
 
 The client dispatches one onion per route, collects acks, waits out the
@@ -29,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .ec_crypto import KeyPair, keygen
+from .ec_crypto import KeyPair
 from .errors import (
     DelayOutOfRange,
     GiveUp,
@@ -45,6 +46,7 @@ from .errors import (
     WireError,
 )
 from .onion_routing import (
+    SEALED_ACK_LEN,
     NodeDescriptor,
     build_onion,
     check_route_shape,
@@ -52,8 +54,10 @@ from .onion_routing import (
     encrypt_ack,
     peel_layer,
     select_routes,
+    wrap_ack,
 )
 from .wire_protocol import (
+    ACK_KEY_LEN,
     FRAME_HEADER_LEN,
     MAX_TX_SIZE,
     TrrAck,
@@ -106,7 +110,7 @@ class BroadcastView(Protocol):
 
 class Transport(Protocol):
     """One full request exchange with a peer: connect, handshake, send
-    the packet, return the raw (encrypted) ack bytes, close."""
+    the packet, return the raw (sealed) ack bytes, close."""
 
     def request(self, ip: int, port: int, packet: bytes,
                 src_addr=None) -> bytes: ...
@@ -128,7 +132,9 @@ class PendingRelease:
 
 
 class TrrNode:
-    """One relay node: peels layers, forwards or releases."""
+    """One relay node: peels layers, forwards or releases.  rng stays in
+    the signature for callers that build a node with one; acks are
+    sealed under keys the onion carries and draw nothing from it."""
 
     def __init__(self, keypair: KeyPair, descriptor: NodeDescriptor,
                  transport, view, rng):
@@ -153,13 +159,13 @@ class TrrNode:
 
     def serve_request(self, packet: bytes, src_addr=None) -> bytes:
         """Handle one decrypted-and-dispatched request; returns the
-        encrypted ack bytes to send back.  _observe_request is handed
+        sealed ack bytes to send back.  _observe_request is handed
         src_addr (the simulator alone passes one) and what peel_layer
         decoded: the TrrRouting, and the TrrData at the releasing hop.
 
         Raises MalformedCipher/MalformedRouting when the layer cannot
-        be peeled; with no routing header there is no return key, so
-        the connection is simply closed and the previous hop reports.
+        be peeled; with no routing header there is no ack key, so the
+        connection is simply closed and the previous hop reports.
         """
         try:
             routing, data = peel_layer(packet, self.keypair.private)
@@ -171,30 +177,35 @@ class TrrNode:
                   kind="forward" if data is None else "release")
         if data is None:
             return self._handle_forward(routing)
-        return self._handle_release(routing.return_pubkey, data)
+        return self._handle_release(routing.ack_key, data)
 
     def _handle_forward(self, routing: TrrRouting) -> bytes:
+        """Forward the payload and wrap the downstream ack in this hop's
+        pad; a failed forward, or a reply that is no sealed ack, gets
+        this hop's own error ack naming the next hop."""
         me = self.descriptor
         try:
-            ack_bytes = self.transport.request(
+            reply = self.transport.request(
                 routing.dst_ip, routing.port, routing.payload,
                 src_addr=(me.ip, me.port))
-            self._log("forwarded", next_ip=format_ipv4(routing.dst_ip),
-                      next_port=routing.port)
-            return ack_bytes  # downstream ack relayed verbatim
+            if len(reply) != SEALED_ACK_LEN:
+                raise NotTrr(f"reply of {len(reply)} bytes is no sealed ack")
         except tuple(_ERRNO_FOR) as exc:
             errno = _ERRNO_FOR[type(exc)]
             self._log("forward_failed", next_ip=format_ipv4(routing.dst_ip),
                       errno=errno)
-            return self._own_ack(routing.return_pubkey, errno=errno,
+            return self._own_ack(routing.ack_key, errno=errno,
                                  err_ip=routing.dst_ip,
                                  errmsg=type(exc).__name__.encode())
+        self._log("forwarded", next_ip=format_ipv4(routing.dst_ip),
+                  next_port=routing.port)
+        return wrap_ack(reply, routing.ack_key)
 
-    def _handle_release(self, return_pubkey: bytes, data: TrrData) -> bytes:
+    def _handle_release(self, ack_key: bytes, data: TrrData) -> bytes:
         me = self.descriptor
         if not self.view.verify(data.tx):
             self._log("verify_failed")
-            return self._own_ack(return_pubkey, errno=ERR_INVALID_TX,
+            return self._own_ack(ack_key, errno=ERR_INVALID_TX,
                                  err_ip=me.ip, errmsg=b"verify failed")
         tid = txid(data.tx)
         with self._lock:
@@ -211,18 +222,18 @@ class TrrNode:
                 event = "pool_full"
         if event == "pool_full":
             self._log(event)
-            return self._own_ack(return_pubkey, errno=ERR_POOL_FULL,
+            return self._own_ack(ack_key, errno=ERR_POOL_FULL,
                                  err_ip=me.ip, errmsg=b"pool full")
         self._log(event, release_height=release_height,
                   delay=data.release_delay)
-        return self._own_ack(return_pubkey, errno=ERR_OK, err_ip=0)
+        return self._own_ack(ack_key, errno=ERR_OK, err_ip=0)
 
-    def _own_ack(self, return_pubkey: bytes, *, errno: int, err_ip: int,
+    def _own_ack(self, ack_key: bytes, *, errno: int, err_ip: int,
                  errmsg: bytes = b"") -> bytes:
         ack = TrrAck(version=1, time=self.height, rpt_ip=self.descriptor.ip,
                      err_ip=err_ip, errno=errno, errmsg=errmsg)
         self._log("acked", errno=errno)
-        return encrypt_ack(ack, return_pubkey, self.rng)
+        return encrypt_ack(ack, ack_key)
 
     def on_new_block(self, height: int) -> list[bytes]:
         """Advance the block clock; broadcast every due transaction that
@@ -431,7 +442,9 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
                 clock) -> SendReport:
     """Dispatch tx over policy.num_routes fresh routes, wait out the
     release delay, and retry with new routes until the transaction is
-    observed in the broadcast view.
+    observed in the broadcast view.  An attempt keeps an ack only when
+    its rpt_ip is the address of the hop whose key sealed it; any other
+    is recorded as the attempt's error.
 
     Raises SizeMismatch before any route is drawn when tx is empty or
     longer than MAX_TX_SIZE, and GiveUp (carrying the report) after
@@ -450,15 +463,22 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
             max_delay = max(max_delay, delay)
             attempt = RouteAttempt(
                 hop_ids=tuple(h.node_id for h in route), delay=delay)
-            return_kp = keygen(rng)  # one per route: no shared key
-            onion = build_onion(tx, route, delay, return_kp,
+            # one key per hop, so no two layers share one
+            ack_keys = [rng.randbytes(ACK_KEY_LEN) for _ in route]
+            onion = build_onion(tx, route, delay, ack_keys,
                                 sent_round.dispatch_height, rng)
             first = route[0]
             try:
                 raw_ack = transport.request(first.ip, first.port, onion)
-                attempt.ack = decrypt_ack(raw_ack, return_kp)
+                hop, ack = decrypt_ack(raw_ack, ack_keys)
             except TrrError as exc:
                 attempt.error = f"{type(exc).__name__}: {exc}"
+            else:
+                if ack.rpt_ip == route[hop].ip:
+                    attempt.ack = ack
+                else:
+                    attempt.error = (f"forged ack: hop {hop + 1} sealed an "
+                                     f"ack from {format_ipv4(ack.rpt_ip)}")
             sent_round.attempts.append(attempt)
         rounds.append(sent_round)
         clock.wait_for(sent_round.dispatch_height + max_delay)

@@ -1,29 +1,50 @@
-"""Client-side route selection, onion construction and per-hop peeling.
+"""Client-side route selection, onion construction and per-hop peeling,
+and the sealed acks that travel back.
 
 A route is the tuple of its hops' NodeDescriptors, the last one the
 releasing node.  An onion for the route (A, B, C) nests encryptions
 from the inside out:
 
-    to C:  routing(dst=0)      | trr_data(tx, delay)
-    to B:  routing(dst=C)      | cipher_for_C
-    to A:  routing(dst=B)      | cipher_for_B
+    to C:  routing(key_C, dst=0)  | trr_data(tx, delay)
+    to B:  routing(key_B, dst=C)  | cipher_for_C
+    to A:  routing(key_A, dst=B)  | cipher_for_B
 
 Each hop's peel_layer yields the decoded TrrRouting, whose payload it
 forwards verbatim, or at dst_ip == 0 also the decoded TrrData it
-releases.  Every routing header of an onion carries its route's return
-public key as a bare 32-byte x-coordinate, an encoding this module alone
-knows: any hop can encrypt a result back to the even-y point with that
-x, and decrypt_ack fits the keypair to it.  client_send draws a fresh
-return key for each route, so no two routes share one.
+releases.
 
-Deviation from the paper: its trr_data time field is the client's
+Acks.  Each routing header carries that hop's ack key, 32 random bytes
+the client draws per hop, so no two layers share a key.  The hop that
+reports (the releasing hop, or a forwarding hop whose forward failed)
+seals its ack: the 45-byte trr_ack XOR a pad, then a 16-byte tag,
+SEALED_ACK_LEN bytes in all.  Every hop between it and the client XORs
+the reply with its own pad, as Tor's backward cells add one layer a
+hop, so each link carries different ack bytes.  The client strips the
+pads in route order; the first hop whose tag verifies is the reporter,
+and only that hop (and the client) holds its key, so no hop can write
+an ack in another hop's name.  Pads and MAC keys come from one KDF
+step, _ack_kdf.
+
+Deviations from the paper.  Its routing header carries the client's
+return public key and the releasing hop encrypts the ack to it; here
+the same 32-byte field carries the hop's ack key and the ack is a
+sealed blob, not an ElGamal stream, so the wire layout of every
+structure is unchanged.  Its trr_data time field is the client's
 clock, which would tell the releasing hop when the request entered the
-network.  build_onion writes whatever now it is given, and client_send
+network; build_onion writes whatever now it is given, and client_send
 gives it the round's dispatch block height, which every node already
-knows; the wire format is unchanged.
+knows.
+
+Known limits, until the layer cipher stops masking every block with
+one point (ROADMAP item 2): a hop that knows one plaintext chunk of a
+later layer, as the hop before the releasing hop knows the tx once it
+is broadcast, reads that layer's ack key.  A replayed layer reuses its
+pad (ROADMAP item 9).
 """
 
+import hashlib
 from dataclasses import dataclass
+from hmac import compare_digest
 
 from . import ec_crypto
 from .errors import (
@@ -35,7 +56,8 @@ from .errors import (
     WireError,
 )
 from .wire_protocol import (
-    RETURN_PUBKEY_LEN,
+    ACK_KEY_LEN,
+    TRR_ACK_LEN,
     TrrAck,
     TrrData,
     TrrRouting,
@@ -86,18 +108,16 @@ def select_routes(directory, num_routes: int, hops_per_route: int,
 
 
 def build_onion(tx: bytes, route: tuple, release_delay: int,
-                return_keypair: ec_crypto.KeyPair, now: int, rng) -> bytes:
+                ack_keys, now: int, rng) -> bytes:
     """Layer-encrypt tx from the releasing hop (next address 0:0)
-    outward; the onion is the serialized outermost cipher stream.  Each
-    header carries return_keypair's x; any keypair serves (decrypt_ack)."""
+    outward; the onion is the serialized outermost cipher stream.  Hop
+    i's header carries ack_keys[i], one ACK_KEY_LEN-byte key per hop."""
     if not route:
         raise ValueError("route has no hops")
-    return_x = return_keypair.public.x.to_bytes(RETURN_PUBKEY_LEN, "big")
-
     packet = encode_trr_data(TrrData(1, now, release_delay, tx))
     next_ip, next_port = 0, 0  # the releasing hop has no next node
-    for hop in reversed(route):
-        layer = TrrRouting(1, return_x, next_ip, next_port, packet)
+    for hop, key in zip(reversed(route), reversed(ack_keys), strict=True):
+        layer = TrrRouting(1, key, next_ip, next_port, packet)
         packet = _encrypt_layer(encode_trr_routing(layer), hop.pubkey, rng)
         next_ip, next_port = hop.ip, hop.port
     return packet
@@ -132,22 +152,55 @@ def peel_layer(packet: bytes,
         raise MalformedRouting(f"release payload did not decode: {exc}") from exc
 
 
-def encrypt_ack(ack: TrrAck, return_pubkey: bytes, rng) -> bytes:
-    """Single-layer encryption of an ack to the even-y point whose x is
-    return_pubkey, a routing header's 32 bytes (MalformedCipher if no
-    point has it); intermediate hops relay the result verbatim."""
-    point = ec_crypto.point_from_bytes(b"\x02" + return_pubkey)
-    return _encrypt_layer(encode_trr_ack(ack), point, rng)
+ACK_TAG_LEN = 16
+SEALED_ACK_LEN = TRR_ACK_LEN + ACK_TAG_LEN
 
 
-def decrypt_ack(blob: bytes, return_keypair: ec_crypto.KeyPair) -> TrrAck:
-    """The ack encrypt_ack made for return_keypair's x, whose even-y
-    point is -P when P's y is odd; MalformedCipher if none decrypts."""
-    private = return_keypair.private
-    if return_keypair.public.y % 2:  # the ack was encrypted to -P
-        private = ec_crypto.CURVE_ORDER - private
-    try:
-        stream = ec_crypto.deserialize_cipher(blob)
-        return decode_trr_ack(ec_crypto.elgamal_decrypt(stream, private))
-    except (LengthMismatch, WireError) as exc:
-        raise MalformedCipher(f"ack did not decrypt: {exc}") from exc
+def _ack_kdf(key: bytes) -> tuple[bytes, bytes]:
+    """The SEALED_ACK_LEN-byte pad and the MAC key of one hop's ack key,
+    each a SHA-256 of the key under its own domain-separation prefix."""
+    pad = (hashlib.sha256(b"trr ack pad 0" + key).digest()
+           + hashlib.sha256(b"trr ack pad 1" + key).digest())
+    return pad[:SEALED_ACK_LEN], hashlib.sha256(b"trr ack mac" + key).digest()
+
+
+def _xor(data: bytes, pad: bytes) -> bytes:
+    n = len(data)
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(pad[:n], "little")).to_bytes(n, "little")
+
+
+def _tag(mac_key: bytes, body: bytes) -> bytes:
+    """sha256(mac_key || body), cut to ACK_TAG_LEN bytes.  Every body is
+    TRR_ACK_LEN bytes long, so no length extension yields another valid
+    tag."""
+    return hashlib.sha256(mac_key + body).digest()[:ACK_TAG_LEN]
+
+
+def encrypt_ack(ack: TrrAck, key: bytes) -> bytes:
+    """Seal ack under the reporting hop's ack key: the encoded ack XOR
+    the key's pad, then the tag of those bytes; SEALED_ACK_LEN bytes."""
+    pad, mac_key = _ack_kdf(key)
+    body = _xor(encode_trr_ack(ack), pad)
+    return body + _tag(mac_key, body)
+
+
+def wrap_ack(blob: bytes, key: bytes) -> bytes:
+    """A forwarding hop's layer over a downstream SEALED_ACK_LEN-byte
+    reply: the reply XOR the hop's pad."""
+    return _xor(blob, _ack_kdf(key)[0])
+
+
+def decrypt_ack(blob: bytes, ack_keys) -> tuple[int, TrrAck]:
+    """The index of the hop whose key sealed blob, and its ack: for hop
+    0, 1, ..., open the ack if that hop's tag verifies, else strip that
+    hop's pad.  MalformedCipher if no tag verifies."""
+    if len(blob) != SEALED_ACK_LEN:
+        raise MalformedCipher(f"ack of {len(blob)} bytes, not {SEALED_ACK_LEN}")
+    for hop, key in enumerate(ack_keys):
+        pad, mac_key = _ack_kdf(key)
+        body = blob[:TRR_ACK_LEN]
+        if compare_digest(_tag(mac_key, body), blob[TRR_ACK_LEN:]):
+            return hop, decode_trr_ack(_xor(body, pad))
+        blob = _xor(blob, pad)
+    raise MalformedCipher("no hop's key verifies the ack")

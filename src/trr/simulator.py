@@ -342,14 +342,14 @@ class SimNode(TrrNode):
             record = Observation(src_addr, own, None, node_runtime.txid(data.tx))
         self.ledger.entries.append(record)
 
-    def _handle_release(self, return_pubkey, data) -> bytes:
+    def _handle_release(self, ack_key, data) -> bytes:
         if self.behavior == "no_release":
             # accept and ack but never enqueue: the withheld release is
             # exactly what makes this node dishonest
             self._log("withheld_release")
-            return self._own_ack(return_pubkey,
+            return self._own_ack(ack_key,
                                  errno=node_runtime.ERR_OK, err_ip=0)
-        return super()._handle_release(return_pubkey, data)
+        return super()._handle_release(ack_key, data)
 
 
 class Observation(NamedTuple):
@@ -442,9 +442,6 @@ class SimWorld:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.rng = random.Random(trial_seed(cfg.seed, 0) ^ 0xE2E)
-        # every node draws its ack randomness from this one stream, kept
-        # apart from self.rng so the client's draws do not depend on acks
-        self.node_rng = random.Random(trial_seed(cfg.seed, 1))
         self.clock = SimClock(self)
         self.broadcast = SimBroadcast(self)
         self.transport = InProcessTransport(self)
@@ -473,7 +470,7 @@ class SimWorld:
         descriptor = NodeDescriptor(node_id=node_id, ip=NODE_IP_BASE + node_id,
                                     port=NODE_PORT, pubkey=keypair.public)
         node = SimNode(keypair, descriptor, self.transport,
-                       NodeView(self.broadcast, node_id), self.node_rng,
+                       NodeView(self.broadcast, node_id), None,
                        behavior=behavior, ledger=self.attack_ledger,
                        trace=self.trace, clock=self.clock)
         node.listed = descriptor

@@ -40,11 +40,11 @@ MAX_TX_SIZE = 10240
 MIN_RELEASE_DELAY = 1
 MAX_RELEASE_DELAY = 5
 
-RETURN_PUBKEY_LEN = 32
+ACK_KEY_LEN = 32
 ERRMSG_LEN = 30
 
 _DATA_HDR = struct.Struct("<BIQH")
-_ROUTING_HDR = struct.Struct(f"<B{RETURN_PUBKEY_LEN}sIHH")
+_ROUTING_HDR = struct.Struct(f"<B{ACK_KEY_LEN}sIHH")
 _ACK = struct.Struct(f"<BIIIH{ERRMSG_LEN}s")
 _FRAME_HDR = struct.Struct("<4s12sI4s")
 FRAME_HEADER_LEN = _FRAME_HDR.size
@@ -154,12 +154,13 @@ def decode_trr_data(raw: bytes) -> TrrData:
 class TrrRouting:
     """Per-hop routing header: where to send the remaining payload.
 
-    dst_ip == 0 marks the releasing hop (no next node).  return_pubkey
-    is the x-coordinate of the client's return key (see onion_routing).
+    dst_ip == 0 marks the releasing hop (no next node).  ack_key, the
+    field the paper calls the return public key, is this hop's key for
+    sealing or wrapping the ack (see onion_routing).
     """
 
     version: int
-    return_pubkey: bytes
+    ack_key: bytes
     dst_ip: int
     port: int
     payload: bytes
@@ -170,12 +171,12 @@ class TrrRouting:
 
 
 def encode_trr_routing(r: TrrRouting) -> bytes:
-    if len(r.return_pubkey) != RETURN_PUBKEY_LEN:
-        raise ValueError(f"return_pubkey must be {RETURN_PUBKEY_LEN} bytes")
+    if len(r.ack_key) != ACK_KEY_LEN:
+        raise ValueError(f"ack_key must be {ACK_KEY_LEN} bytes")
     if len(r.payload) > 0xFFFF:
         raise PayloadTooLarge(f"payload of {len(r.payload)} bytes exceeds "
                               "the 2-byte size field")
-    return _pack(_ROUTING_HDR, r.version, r.return_pubkey, r.dst_ip, r.port,
+    return _pack(_ROUTING_HDR, r.version, r.ack_key, r.dst_ip, r.port,
                  len(r.payload)) + r.payload
 
 

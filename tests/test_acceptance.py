@@ -188,7 +188,7 @@ def test_criterion_5_cipher_growth():
     assert ratios[-1] <= 1.5, f"10240-byte ratio {ratios[-1]:.3f}"
     world = SimWorld(SimConfig(n_nodes=5, seed=3))
     onion = build_onion(rng.randbytes(256), tuple(world.directory),
-                        1, ec.keygen(rng), 0, rng)
+                        1, [rng.randbytes(32) for _ in range(5)], 0, rng)
     assert len(onion) <= 1200, f"256-byte tx, 5-hop onion is {len(onion)} bytes"
     check("criterion 5 (growth ratio decreasing, bounds)", True,
           f"ratios {' > '.join(f'{r:.2f}' for r in ratios)}; "
@@ -247,9 +247,9 @@ def test_criterion_8_release_delay():
     rng = random.Random(0x88)
     for k in range(1, 6):
         node = world.nodes[k]
-        ret = ec.keygen(rng)
         tx = bytes([k]) * 16
-        onion = build_onion(tx, (world.directory[k],), k, ret, 0, rng)
+        onion = build_onion(tx, (world.directory[k],), k, [rng.randbytes(32)],
+                            0, rng)
         node.serve_request(onion, (1, 1))
         start = node.height
         for h in range(start + 1, start + k):
@@ -258,9 +258,9 @@ def test_criterion_8_release_delay():
     # duplicate release across two routes broadcasts exactly once
     tx = b"\xee" * 20
     a, b = world.nodes[6], world.nodes[7]
-    ret = ec.keygen(rng)
-    a.serve_request(build_onion(tx, (world.directory[6],), 1, ret, 0, rng), (1, 1))
-    b.serve_request(build_onion(tx, (world.directory[7],), 2, ret, 0, rng), (1, 1))
+    keys = [rng.randbytes(32)]
+    a.serve_request(build_onion(tx, (world.directory[6],), 1, keys, 0, rng), (1, 1))
+    b.serve_request(build_onion(tx, (world.directory[7],), 2, keys, 0, rng), (1, 1))
     a.on_new_block(a.height + 1)
     b.on_new_block(b.height + 1)
     b.on_new_block(b.height + 1)

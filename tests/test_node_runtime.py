@@ -25,9 +25,11 @@ from trr.errors import (
     TrrTimeout,
 )
 from trr.onion_routing import (
+    SEALED_ACK_LEN,
     NodeDescriptor,
     build_onion,
     decrypt_ack,
+    encrypt_ack,
     peel_layer,
 )
 from trr.simulator import (
@@ -37,7 +39,12 @@ from trr.simulator import (
     SimNode,
     SimWorld,
 )
-from trr.wire_protocol import MAX_FRAME_PAYLOAD, frame_message, parse_ipv4
+from trr.wire_protocol import (
+    MAX_FRAME_PAYLOAD,
+    TrrAck,
+    frame_message,
+    parse_ipv4,
+)
 
 CLIENT_ADDR = (parse_ipv4("192.168.0.1"), 9)
 LOOPBACK = parse_ipv4("127.0.0.1")
@@ -51,8 +58,13 @@ def world():
 def make_onion(world, route_ids, tx, delay=1, seed=5, extra_hops=()):
     rng = random.Random(seed)
     hops = tuple(world.directory[i] for i in route_ids) + tuple(extra_hops)
-    ret = ec.keygen(rng)
-    return build_onion(tx, hops, delay, ret, now=0, rng=rng), ret
+    keys = [rng.randbytes(32) for _ in hops]
+    return build_onion(tx, hops, delay, keys, now=0, rng=rng), keys
+
+
+def open_ack(raw, keys):
+    """The ack in raw, whichever hop of keys sealed it."""
+    return decrypt_ack(raw, keys)[1]
 
 
 class FakeConn:
@@ -78,30 +90,30 @@ class FakeConn:
 
 class TestServeConnection:
     def test_handshake_then_request(self, world):
-        onion, ret = make_onion(world, [0], b"tx bytes")
+        onion, keys = make_onion(world, [0], b"tx bytes")
         conn = FakeConn([("vertrr", b""), ("trr", onion)])
         nr.serve_connection(world.nodes[0], conn)
         assert conn.closed
         assert [c for c, _ in conn.sent] == ["vertrr", "track"]
-        ack = decrypt_ack(conn.sent[1][1], ret)
+        ack = open_ack(conn.sent[1][1], keys)
         assert ack.errno == nr.ERR_OK
 
     def test_serves_connection_without_peer_address(self, world):
         assert not hasattr(FakeConn, "peer_addr")
         assert not hasattr(nr.FrameSocket, "peer_addr")
-        onion, ret = make_onion(world, [0, 1], b"tx bytes")
+        onion, keys = make_onion(world, [0, 1], b"tx bytes")
         conn = FakeConn([("vertrr", b""), ("trr", onion)])
         nr.serve_connection(world.nodes[0], conn)
-        ack = decrypt_ack(conn.sent[1][1], ret)
+        ack = open_ack(conn.sent[1][1], keys)
         assert (ack.errno, ack.rpt_ip) == (nr.ERR_OK, world.directory[1].ip)
 
     def test_ack_time_is_node_block_height(self, world):
         node = world.nodes[0]
         node.on_new_block(7)
-        onion, ret = make_onion(world, [0], b"tx bytes")
+        onion, keys = make_onion(world, [0], b"tx bytes")
         conn = FakeConn([("vertrr", b""), ("trr", onion)])
         nr.serve_connection(node, conn)
-        assert decrypt_ack(conn.sent[1][1], ret).time == 7
+        assert open_ack(conn.sent[1][1], keys).time == 7
 
     def test_first_frame_not_vertrr_refused(self, world):
         onion, _ = make_onion(world, [0], b"tx")
@@ -140,9 +152,9 @@ class TestServeConnection:
 class TestHandleRequest:
     def test_release_enqueues_and_acks(self, world):
         node = world.nodes[3]
-        onion, ret = make_onion(world, [3], b"the tx", delay=4)
+        onion, keys = make_onion(world, [3], b"the tx", delay=4)
         before = len(node.pool)
-        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret)
+        ack = open_ack(node.serve_request(onion, CLIENT_ADDR), keys)
         assert ack.errno == nr.ERR_OK
         assert ack.rpt_ip == node.descriptor.ip
         assert len(node.pool) == before + 1
@@ -150,20 +162,54 @@ class TestHandleRequest:
         assert entry.tx == b"the tx"
         assert entry.release_height == node.height + 4
 
-    def test_forward_relays_ack_verbatim(self, world):
-        onion, ret = make_onion(world, [0, 1], b"tx")
+    def test_forward_wraps_downstream_ack(self, world):
+        onion, keys = make_onion(world, [0, 1], b"tx")
+        releasing = world.nodes[1]
+        replies = []
+        serve = releasing.serve_request
+
+        def recording(packet, src_addr=None):
+            replies.append(serve(packet, src_addr))
+            return replies[-1]
+
+        releasing.serve_request = recording
         raw_ack = world.nodes[0].serve_request(onion, CLIENT_ADDR)
-        ack = decrypt_ack(raw_ack, ret)
-        assert ack.errno == nr.ERR_OK
-        assert ack.rpt_ip == world.nodes[1].descriptor.ip  # releasing node speaks
-        assert world.nodes[1].pool
+        hop, ack = decrypt_ack(raw_ack, keys)
+        assert (hop, ack.errno) == (1, nr.ERR_OK)
+        assert ack.rpt_ip == releasing.descriptor.ip  # releasing node speaks
+        assert len(raw_ack) == len(replies[0]) and raw_ack != replies[0]
+        assert releasing.pool
+
+    def test_reply_of_wrong_length_blames_next_hop(self, world):
+        # 103 bytes was an ElGamal ack; a sealed one is SEALED_ACK_LEN
+        onion, keys = make_onion(world, [0, 1], b"tx")
+        world.nodes[1].serve_request = lambda packet, src_addr=None: bytes(103)
+        hop, ack = decrypt_ack(world.nodes[0].serve_request(onion, CLIENT_ADDR),
+                               keys)
+        assert (hop, ack.errno, ack.errmsg) == (0, nr.ERR_NOT_TRR, b"NotTrr")
+        assert (ack.rpt_ip, ack.err_ip) == (world.directory[0].ip,
+                                            world.directory[1].ip)
+
+    def test_off_curve_ack_key_acked(self, world):
+        # x = 0 is the first x with no secp256k1 point; once a return key,
+        # it made the node enqueue and then fail to encrypt the ack
+        key = bytes(32)
+        with pytest.raises(MalformedCipher, match="not on curve"):
+            ec.point_from_bytes(b"\x02" + key)
+        node = world.nodes[7]
+        onion = build_onion(b"off-curve tx", (world.directory[7],), 1, [key],
+                            0, random.Random(7))
+        ack = open_ack(node.serve_request(onion, CLIENT_ADDR), [key])
+        assert (ack.errno, ack.rpt_ip) == (nr.ERR_OK, world.directory[7].ip)
+        assert node.events == {"received": 1, "enqueued": 1, "acked": 1}
+        assert len(node.pool) == 1
 
     def test_unreachable_next_hop_error_ack(self, world):
         dead = NodeDescriptor(node_id="dead", ip=parse_ipv4("10.9.9.9"),
                               port=8333, pubkey=ec.keygen(random.Random(1)).public)
-        onion, ret = make_onion(world, [2], b"tx", extra_hops=(dead,))
-        ack = decrypt_ack(world.nodes[2].serve_request(onion, CLIENT_ADDR),
-                          ret)
+        onion, keys = make_onion(world, [2], b"tx", extra_hops=(dead,))
+        ack = open_ack(world.nodes[2].serve_request(onion, CLIENT_ADDR),
+                          keys)
         assert ack.errno == nr.ERR_UNREACHABLE
         assert ack.err_ip == dead.ip
         assert ack.rpt_ip == world.nodes[2].descriptor.ip
@@ -174,13 +220,13 @@ class TestHandleRequest:
         fillers = [i.to_bytes(2, "big") for i in range(nr.POOL_CAPACITY)]
         node.pool = {nr.txid(tx): nr.PendingRelease(tx, nr.txid(tx), 99)
                      for tx in fillers}  # the 1001st distinct tx must bounce
-        onion, ret = make_onion(world, [4], b"tx")
-        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret)
+        onion, keys = make_onion(world, [4], b"tx")
+        ack = open_ack(node.serve_request(onion, CLIENT_ADDR), keys)
         assert ack.errno == nr.ERR_POOL_FULL
         assert len(node.pool) == nr.POOL_CAPACITY
         # a tx already pending is no new entry, so a full pool still takes it
-        onion, ret = make_onion(world, [4], fillers[7], delay=2)
-        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret)
+        onion, keys = make_onion(world, [4], fillers[7], delay=2)
+        ack = open_ack(node.serve_request(onion, CLIENT_ADDR), keys)
         assert ack.errno == nr.ERR_OK
         assert len(node.pool) == nr.POOL_CAPACITY
         assert node.pool[nr.txid(fillers[7])].release_height == node.height + 2
@@ -188,9 +234,9 @@ class TestHandleRequest:
     def test_second_enqueue_keeps_one_entry(self, world):
         node = world.nodes[11]
         for delay, kept in [(4, 4), (2, 2), (5, 2)]:  # the earlier height wins
-            onion, ret = make_onion(world, [11], b"one tx", delay=delay)
-            ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR),
-                              ret)
+            onion, keys = make_onion(world, [11], b"one tx", delay=delay)
+            ack = open_ack(node.serve_request(onion, CLIENT_ADDR),
+                              keys)
             assert ack.errno == nr.ERR_OK
             assert [p.release_height for p in node.pool.values()] == [kept]
         assert node.events["enqueued"] == 1
@@ -198,11 +244,11 @@ class TestHandleRequest:
 
     def test_replayed_first_hop_packet_fills_no_pool(self, world, monkeypatch):
         monkeypatch.setattr(nr, "POOL_CAPACITY", 3)
-        onion, ret = make_onion(world, [0, 1, 2], b"replayed tx")
+        onion, keys = make_onion(world, [0, 1, 2], b"replayed tx")
         first = world.directory[0]
-        acks = [decrypt_ack(world.transport.request(first.ip, first.port,
+        acks = [open_ack(world.transport.request(first.ip, first.port,
                                                     onion, CLIENT_ADDR),
-                            ret)
+                            keys)
                 for _ in range(5)]  # one capture, replayed
         assert [ack.errno for ack in acks] == [nr.ERR_OK] * 5
         releasing = world.nodes[2]
@@ -212,10 +258,10 @@ class TestHandleRequest:
     def test_ack_time_is_block_height_in_process(self, world):
         for _ in range(4):
             world.clock.advance_block()
-        onion, ret = make_onion(world, [3, 5], b"timed tx")
+        onion, keys = make_onion(world, [3, 5], b"timed tx")
         first = world.directory[3]
-        ack = decrypt_ack(world.transport.request(first.ip, first.port, onion),
-                          ret)
+        ack = open_ack(world.transport.request(first.ip, first.port, onion),
+                          keys)
         assert ack.rpt_ip == world.directory[5].ip
         assert ack.time == world.nodes[5].height == 4
         assert world.clock.tick > 400  # the tick is no ack's time
@@ -223,8 +269,8 @@ class TestHandleRequest:
     def test_invalid_tx_rejected(self, world):
         node = world.nodes[5]
         node.view.verify = lambda tx: False
-        onion, ret = make_onion(world, [5], b"tx")
-        ack = decrypt_ack(node.serve_request(onion, CLIENT_ADDR), ret)
+        onion, keys = make_onion(world, [5], b"tx")
+        ack = open_ack(node.serve_request(onion, CLIENT_ADDR), keys)
         assert ack.errno == nr.ERR_INVALID_TX
         assert not node.pool
 
@@ -307,7 +353,7 @@ class TestNodeMemory:
         me = NodeDescriptor(node_id="n0", ip=LOOPBACK, port=8333,
                             pubkey=keypair.public)
         onions = [build_onion(rng.randbytes(200), (me,), 1,
-                              ec.keygen(rng), now=0, rng=rng)
+                              [rng.randbytes(32)], now=0, rng=rng)
                   for _ in range(200)]
         view = MemoryView()
         node = nr.TrrNode(keypair, me, None, view, random.Random(3))
@@ -404,23 +450,82 @@ class TestClientSend:
                            view=world.nodes[0].view, clock=world.clock)
         assert rng.getstate() == state  # no route was drawn
 
-    def test_each_route_has_its_own_return_key(self, world):
-        packets = []
+    @staticmethod
+    def recorded_send(world, policy):
+        """Send through world with its transport recorded: one (ip,
+        packet, reply) per link, innermost link first."""
+        links = []
         orig = world.transport.request
 
         def recording(ip, port, packet, src_addr=None):
-            packets.append((ip, packet))
-            return orig(ip, port, packet, src_addr=src_addr)
+            reply = orig(ip, port, packet, src_addr=src_addr)
+            links.append((ip, packet, reply))
+            return reply
 
         world.transport.request = recording
+        report = world.send(b"keyed tx", policy)
+        assert report.total_rounds == 1
+        return links
+
+    def test_each_layer_has_its_own_ack_key(self, world):
+        # no key joins two layers of one route, or two routes (item 3,
+        # Defect A)
         policy = nr.SendPolicy(num_routes=3, hops=3)
-        world.send(b"keyed tx", policy)
-        return_keys = set()
-        for ip, packet in packets[::policy.hops]:  # each route's first hop
-            node = world.nodes[ip - NODE_IP_BASE]
-            routing, _ = peel_layer(packet, node.keypair.private)
-            return_keys.add(routing.return_pubkey)
-        assert len(return_keys) == policy.num_routes
+        links = self.recorded_send(world, policy)
+        keys = [peel_layer(packet, world.nodes[ip - NODE_IP_BASE]
+                           .keypair.private)[0].ack_key
+                for ip, packet, _ in links]
+        assert len(keys) == len(set(keys)) == 9
+
+    def test_ack_bytes_differ_on_every_link(self, world):
+        # each hop adds its own pad, so no two links of a route carry the
+        # same ack bytes (item 3, Defect B)
+        links = self.recorded_send(world, nr.SendPolicy(num_routes=1, hops=3))
+        replies = [reply for _, _, reply in links]
+        assert [len(reply) for reply in replies] == [SEALED_ACK_LEN] * 3
+        assert len(set(replies)) == 3
+
+    def test_forged_reporter_refused(self, world, monkeypatch):
+        # a first hop drops the packet and seals an ack in hop 3's name
+        # that blames hop 2; only the first hop's own key verifies it
+        route = tuple(world.directory[i] for i in (4, 8, 2))
+        monkeypatch.setattr(nr, "select_routes",
+                            lambda directory, n, hops, rng: [route] * n)
+
+        class Forger(SimNode):
+            def _handle_forward(self, routing):
+                ack = TrrAck(1, self.height, rpt_ip=route[2].ip,
+                             err_ip=routing.dst_ip, errno=nr.ERR_TIMEOUT,
+                             errmsg=b"TrrTimeout")
+                return encrypt_ack(ack, routing.ack_key)
+
+        honest = world.nodes[4]
+        world._nodes[4] = Forger(
+            honest.keypair, honest.descriptor, world.transport, honest.view,
+            None, behavior=honest.behavior, ledger=world.attack_ledger,
+            trace=world.trace, clock=world.clock)
+        with pytest.raises(GiveUp) as exc_info:
+            world.send(b"forged tx", nr.SendPolicy(num_routes=1, hops=3,
+                                                   retry_rounds=1))
+        (attempt,) = exc_info.value.report.rounds[0].attempts
+        assert attempt.ack is None
+        assert attempt.error.startswith("forged ack: hop 1 sealed")
+        assert not world.nodes[8].events  # hop 2 received nothing
+
+    def test_send_makes_27_scalar_multiplications(self, monkeypatch):
+        # a 3 x 3 send: 2 per layer built and 1 per layer peeled; acks
+        # make none
+        world = SimWorld(SimConfig(n_nodes=12, seed=101))
+        for node in world.nodes:
+            assert node.behavior == "honest"
+        calls = []
+        scalar_mul = ec.scalar_mul
+        monkeypatch.setattr(ec, "scalar_mul",
+                            lambda k, pt: calls.append(k) or scalar_mul(k, pt))
+        report = world.send(b"counted tx", nr.SendPolicy(num_routes=3, hops=3))
+        assert report.total_rounds == 1
+        assert all(a.ok for a in report.rounds[0].attempts)
+        assert len(calls) == 27
 
     def test_retry_round_on_transient_failure(self, world):
         orig = world.transport.request
@@ -567,9 +672,9 @@ class TestFrameSocket:
     def test_request_over_tcp_server(self, world):
         node = world.nodes[0]
         with node_server(node) as (port, server):
-            onion, ret = make_onion(world, [0], b"tcp tx")
+            onion, keys = make_onion(world, [0], b"tcp tx")
             raw = nr.TcpTransport(timeout=2.0).request(LOOPBACK, port, onion)
-            ack = decrypt_ack(raw, ret)
+            ack = open_ack(raw, keys)
             assert ack.errno == nr.ERR_OK
             assert [p.tx for p in node.pool.values()] == [b"tcp tx"]
             assert server.is_alive()  # this server answered, not another one
@@ -609,13 +714,13 @@ class TestFrameSocket:
             successor = NodeDescriptor(1, next_ip, listener.getsockname()[1],
                                        ec.keygen(rng).public)
             node = nr.TrrNode(kp, me, nr.TcpTransport(timeout=2.0), None, rng)
-            ret = ec.keygen(rng)
-            onion = build_onion(b"tx", (me, successor), 1, ret, 0, rng)
+            keys = [rng.randbytes(32) for _ in range(2)]
+            onion = build_onion(b"tx", (me, successor), 1, keys, 0, rng)
             with node_server(node) as (port, _):
                 raw = nr.TcpTransport(timeout=2.0).request(LOOPBACK, port, onion)
             replier.join(timeout=3)
         assert not replier.is_alive()
-        ack = decrypt_ack(raw, ret)
+        ack = open_ack(raw, keys)
         assert ack.errno == nr.ERR_NOT_TRR
         assert (ack.rpt_ip, ack.err_ip) == (LOOPBACK, next_ip)
         assert ack.errmsg == b"NotTrr"
@@ -629,25 +734,26 @@ class TestFrameSocket:
         """Two relays and a third hop that accepts and never answers,
         every timeout 1 s: the client's ack must name the silent hop."""
         rng = random.Random(29)
-        keys = [ec.keygen(rng) for _ in range(3)]
+        keypairs = [ec.keygen(rng) for _ in range(3)]
         silent_ip = parse_ipv4("127.0.0.3")
         with contextlib.ExitStack() as stack:
             route = []
             for i, host in enumerate(("127.0.0.1", "127.0.0.2")):
-                me = NodeDescriptor(i, parse_ipv4(host), 0, keys[i].public)
-                node = nr.TrrNode(keys[i], me, nr.TcpTransport(1.0), None, rng)
+                me = NodeDescriptor(i, parse_ipv4(host), 0, keypairs[i].public)
+                node = nr.TrrNode(keypairs[i], me, nr.TcpTransport(1.0), None,
+                                  rng)
                 port, _ = stack.enter_context(
                     node_server(node, host=host, timeout=1.0))
                 route.append(dataclasses.replace(me, port=port))
             silent = stack.enter_context(socket.create_server(("127.0.0.3", 0)))
             route.append(NodeDescriptor(2, silent_ip, silent.getsockname()[1],
-                                        keys[2].public))
-            ret = ec.keygen(rng)
-            onion = build_onion(b"tx", tuple(route), 1, ret, 0, rng)
+                                        keypairs[2].public))
+            keys = [rng.randbytes(32) for _ in route]
+            onion = build_onion(b"tx", tuple(route), 1, keys, 0, rng)
             try:
                 raw = nr.TcpTransport(1.0).request(route[0].ip, route[0].port,
                                                    onion)
-                ack = decrypt_ack(raw, ret)
+                ack = open_ack(raw, keys)
             except TrrTimeout:
                 ack = None  # no ack reached the client
         assert ack is not None, "the client got no ack"

@@ -10,19 +10,18 @@ import pytest
 from trr import ec_crypto as ec
 from trr.errors import InsufficientNodes, MalformedCipher, MalformedRouting
 from trr.onion_routing import (
+    SEALED_ACK_LEN,
     NodeDescriptor,
     build_onion,
     decrypt_ack,
     encrypt_ack,
     peel_layer,
     select_routes,
+    wrap_ack,
 )
 from trr.wire_protocol import (
-    TRR_ACK_LEN,
-    TRR_ROUTING_HEADER_LEN,
     TrrAck,
     TrrRouting,
-    decode_trr_ack,
     encode_trr_routing,
     parse_ipv4,
 )
@@ -41,15 +40,15 @@ def directory(keypool):
             for i, kp in enumerate(keypool)]
 
 
-def x32(keypair) -> bytes:
-    """A return key as a routing header carries it."""
-    return keypair.public.x.to_bytes(32, "big")
+def ack_keys(rng, hops: int) -> list[bytes]:
+    """One ack key per hop, drawn as client_send draws them."""
+    return [rng.randbytes(32) for _ in range(hops)]
 
 
 def build_and_peel(tx, hops, keypool, directory, rng, delay=1):
     route = tuple(directory[:hops])
-    ret = ec.keygen(rng)
-    packet = build_onion(tx, route, delay, ret, now=0, rng=rng)
+    keys = ack_keys(rng, hops)
+    packet = build_onion(tx, route, delay, keys, now=0, rng=rng)
     for i in range(hops - 1):
         routing, data = peel_layer(packet, keypool[i].private)
         assert data is None
@@ -58,7 +57,7 @@ def build_and_peel(tx, hops, keypool, directory, rng, delay=1):
         packet = routing.payload
     routing, final = peel_layer(packet, keypool[hops - 1].private)
     assert routing.is_release and final is not None
-    return final, ret
+    return final, keys
 
 
 class TestSelectRoutes:
@@ -137,7 +136,7 @@ class TestOnion:
     def test_wrong_key_raises_malformed_routing(self, keypool, directory):
         rng = random.Random(37)
         route = tuple(directory[:3])
-        packet = build_onion(b"tx", route, 1, ec.keygen(rng), 0, rng)
+        packet = build_onion(b"tx", route, 1, ack_keys(rng, 3), 0, rng)
         with pytest.raises(MalformedRouting):
             peel_layer(packet, keypool[5].private)
 
@@ -145,16 +144,15 @@ class TestOnion:
         # hop i's key opens only layer i
         rng = random.Random(41)
         route = tuple(directory[:4])
-        packet = build_onion(b"tx bytes", route, 1, ec.keygen(rng), 0, rng)
+        packet = build_onion(b"tx bytes", route, 1, ack_keys(rng, 4), 0, rng)
         for wrong in (1, 2, 3):
             with pytest.raises(MalformedRouting):
                 peel_layer(packet, keypool[wrong].private)
 
     def test_release_with_bad_data_raises_malformed_routing(self, keypool):
         rng = random.Random(39)
-        ret = ec.keygen(rng)
         header = TrrRouting(  # a release whose payload is no trr_data
-            version=1, return_pubkey=x32(ret),
+            version=1, ack_key=rng.randbytes(32),
             dst_ip=0, port=0, payload=b"\x01\x02")
         packet = ec.serialize_cipher(ec.elgamal_encrypt(
             encode_trr_routing(header), keypool[0].public, rng))
@@ -171,7 +169,7 @@ class TestOnion:
         rng = random.Random(43)
         route = tuple(directory[:3])
         packet = build_onion(rng.randbytes(200), route, 1,
-                             ec.keygen(rng), 0, rng)
+                             ack_keys(rng, 3), 0, rng)
         routing, _ = peel_layer(packet, keypool[0].private)
         received_grams = {packet[i:i + 8] for i in range(len(packet) - 7)}
         forwarded = routing.payload
@@ -181,11 +179,11 @@ class TestOnion:
 
     def test_onion_size_function_of_lengths_only(self, keypool, directory):
         rng = random.Random(47)
-        ret = ec.keygen(rng)
         route_a = tuple(directory[:5])
         route_b = tuple(directory[5:10])
-        a = build_onion(b"\x00" * 256, route_a, 1, ret, 0, rng)
-        b = build_onion(rng.randbytes(256), route_b, 5, ret, 999, rng)
+        a = build_onion(b"\x00" * 256, route_a, 1, ack_keys(rng, 5), 0, rng)
+        b = build_onion(rng.randbytes(256), route_b, 5, [bytes(32)] * 5, 999,
+                        rng)
         assert len(a) == len(b)
 
     def test_delay_travels_inside(self, keypool, directory):
@@ -195,116 +193,120 @@ class TestOnion:
             assert final.release_delay == delay
 
     def test_return_pubkey_present_at_every_hop(self, keypool, directory):
+        # the paper's return-key field carries each hop's own ack key
         rng = random.Random(59)
         route = tuple(directory[:3])
-        ret = ec.keygen(rng)
-        expected = x32(ret)
-        packet = build_onion(b"tx", route, 1, ret, 0, rng)
+        keys = ack_keys(rng, 3)
+        packet = build_onion(b"tx", route, 1, keys, 0, rng)
         for i in range(3):
             routing, _ = peel_layer(packet, keypool[i].private)
-            assert routing.return_pubkey == expected
+            assert routing.ack_key == keys[i]
             packet = routing.payload
 
-    def test_odd_return_key_acked(self, keypool, directory):
-        # a hop encrypts to the even-y point with the header's x, which
-        # is -P for an odd-y P; decrypt_ack still opens the ack
-        rng = random.Random(1)
-        ret = ec.keygen(rng)
-        assert ret.public.y % 2 == 1  # seed 1 draws an odd key first
-        packet = build_onion(b"tx", tuple(directory[:2]), 1, ret, 0, rng)
-        routing, _ = peel_layer(packet, keypool[0].private)
-        routing, _ = peel_layer(routing.payload, keypool[1].private)
-        ack = TrrAck(1, 0, directory[1].ip, 0, 0, b"")  # errno 0: success
-        blob = encrypt_ack(ack, routing.return_pubkey, rng)
-        assert decrypt_ack(blob, ret) == ack
+    def test_one_ack_key_per_hop(self, directory):
+        rng = random.Random(61)
+        for keys in ([bytes(32)] * 2, [bytes(32)] * 4):
+            with pytest.raises(ValueError):
+                build_onion(b"tx", tuple(directory[:3]), 1, keys, 0, rng)
 
     def test_seeded_onion_bytes_are_pinned(self):
         # pins scalar multiplication, chunk embedding and serialization
         # together: a faster curve path must give the same bytes, and a
-        # change of cipher construction updates this digest on purpose
+        # change of cipher construction updates this digest on purpose.
+        # Every hop's ack key is the x of the keypair that once served as
+        # the route's return key, so the digest predates per-hop keys.
         rng = random.Random(0x601DE7)
         route = tuple(NodeDescriptor(node_id=i, ip=0x0A000001 + i, port=8333,
                                      pubkey=ec.keygen(rng).public)
                       for i in range(3))
-        ret = ec.keygen(rng)
-        packet = build_onion(rng.randbytes(250), route, 3, ret, 1000, rng)
+        old_return_x = ec.keygen(rng).public.x.to_bytes(32, "big")
+        packet = build_onion(rng.randbytes(250), route, 3, [old_return_x] * 3,
+                             1000, rng)
         assert len(packet) == 631
         assert hashlib.sha256(packet).hexdigest() == (
             "ce067ce6b7527b53dc3e34614e48978ad6c4159c7cf47a37e97a57ac27793fa1")
 
 
+def sealed_by(ack, keys, reporter: int) -> bytes:
+    """The ack as the client receives it when hop reporter seals it and
+    every hop before it wraps the reply in its pad."""
+    blob = encrypt_ack(ack, keys[reporter])
+    for key in reversed(keys[:reporter]):
+        blob = wrap_ack(blob, key)
+    return blob
+
+
 class TestAckPath:
     def test_roundtrip(self):
         rng = random.Random(67)
-        ret = ec.keygen(rng)
+        keys = ack_keys(rng, 3)
         ack = TrrAck(1, 12345, parse_ipv4("10.0.0.9"), 0, 0, b"")
-        blob = encrypt_ack(ack, x32(ret), rng)
-        assert decrypt_ack(blob, ret) == ack
+        for reporter in range(3):
+            assert decrypt_ack(sealed_by(ack, keys, reporter), keys) == \
+                (reporter, ack)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="every block of one cipher is masked by the same "
-                       "point rP, and a success ack's second chunk is all "
-                       "zeros, so the mask and then rpt_ip fall out without "
-                       "the return key (ROADMAP item 2)")
     def test_success_ack_unreadable_without_return_key(self):
+        # the ElGamal ack masked every block with one point, so its
+        # all-zero errmsg handed over the mask for rpt_ip too; a sealed
+        # ack's pad never repeats, so the zeros unmask nothing else, and
+        # only the route's own keys open it
         rng = random.Random(73)
-        ret = ec.keygen(rng)
         ack = TrrAck(1, 12345, parse_ipv4("10.0.0.9"), 0, 0, b"")
-        blocks = ec.deserialize_cipher(encrypt_ack(ack, x32(ret), rng)).blocks
-        assert len(blocks) == 2
-        mask = ec.point_add(blocks[1], ec.point_neg(ec.embed_chunk(b"\0" * 31)))
-        first = ec.chunk_from_point(ec.point_add(blocks[0], ec.point_neg(mask)))
-        # first chunk: 4-byte length prefix, then the ack's first 27 bytes
-        guess = decode_trr_ack((first + bytes(31))[4:4 + TRR_ACK_LEN])
-        assert guess.rpt_ip != ack.rpt_ip
+        rpt_ip = ack.rpt_ip.to_bytes(4, "little")
+        for _ in range(100):
+            keys = ack_keys(rng, 3)
+            blob = sealed_by(ack, keys, 2)
+            zeros_pad = blob[15:45]  # errmsg bytes XOR their pad
+            guesses = {bytes(a ^ b for a, b in zip(blob[5:9], zeros_pad[i:]))
+                       for i in range(len(zeros_pad) - 3)}
+            assert rpt_ip not in guesses
+            with pytest.raises(MalformedCipher):
+                decrypt_ack(blob, keys[:2] + ack_keys(rng, 1))
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="every block of one layer is masked by the same "
-                       "point rP, and a first hop knows the next layer's first "
-                       "chunk, so it unmasks the next routing header without "
-                       "that hop's key (ROADMAP item 2)")
+                       "point rP, and once the tx is broadcast the hop before "
+                       "the releasing hop knows a chunk of the release layer, "
+                       "so it unmasks that layer's header and reads its ack "
+                       "key without that hop's key (ROADMAP item 2)")
     def test_next_layer_unreadable_by_first_hop(self, keypool, directory):
         rng = random.Random(89)
-        ret = ec.keygen(rng)
-        packet = build_onion(b"tx bytes", tuple(directory[:3]), 1, ret,
-                             now=0, rng=rng)
+        tx = rng.randbytes(200)
+        keys = ack_keys(rng, 2)
+        packet = build_onion(tx, tuple(directory[:2]), 1, keys, now=0, rng=rng)
         routing, _ = peel_layer(packet, keypool[0].private)  # its own layer only
         blocks = ec.deserialize_cipher(routing.payload).blocks
-        key = routing.return_pubkey
-        # the next layer opens with its 4-byte length, version 1 and the
-        # return key; the block count leaves 31 candidate lengths
-        read = []
-        for length in range(31 * len(blocks) - 34, 31 * len(blocks) - 3):
-            first = length.to_bytes(4, "little") + b"\x01" + key[:26]
-            mask = ec.point_add(blocks[0], ec.point_neg(ec.embed_chunk(first)))
-            second = ec.chunk_from_point(
-                ec.point_add(blocks[1], ec.point_neg(mask)))
-            if second[:6] == key[26:]:  # the rest of the return key
-                dst_ip, port, size = struct.unpack_from("<IHH", second, 6)
-                read.append((dst_ip, port,
-                             TRR_ROUTING_HEADER_LEN + size == length))
-        assert (directory[2].ip, directory[2].port, True) not in read
+        # the release layer's stream: a 4-byte length, the 41-byte routing
+        # header and the 15-byte trr_data header, so its third chunk holds
+        # tx[2:33] alone
+        mask = ec.point_add(blocks[2], ec.point_neg(ec.embed_chunk(tx[2:33])))
+        first, second = (ec.chunk_from_point(ec.point_add(b, ec.point_neg(mask)))
+                         for b in blocks[:2])
+        assert first[5:] + second[:6] != keys[1]
 
     def test_success_ack_ciphertext_constant_length(self):
-        # 45-byte acks: 4-byte prefix + 45 = 49 -> 2 chunks -> 70 + 33
+        # a 45-byte ack and a 16-byte tag, whoever reports
         rng = random.Random(73)
-        ret = ec.keygen(rng)
+        keys = ack_keys(rng, 3)
         sizes = set()
         for t in range(10):
             ack = TrrAck(1, t, t, 0, 0, b"")
-            sizes.add(len(encrypt_ack(ack, x32(ret), rng)))
-        assert sizes == {33 + 4 + 2 * 33}
+            sizes.add(len(sealed_by(ack, keys, t % 3)))
+        assert sizes == {SEALED_ACK_LEN} == {61}
 
     def test_wrong_key_never_crashes(self):
         rng = random.Random(79)
-        ret, other = ec.keygen(rng), ec.keygen(rng)
-        blob = encrypt_ack(TrrAck(1, 0, 0, 0, 0, b"ok"), x32(ret), rng)
+        key, other = ack_keys(rng, 2)
+        blob = encrypt_ack(TrrAck(1, 0, 0, 0, 0, b"ok"), key)
         with pytest.raises(MalformedCipher):
-            decrypt_ack(blob, other)
+            decrypt_ack(blob, [other])
+        with pytest.raises(MalformedCipher):
+            decrypt_ack(blob, [])
 
     def test_truncated_blob(self):
         rng = random.Random(83)
-        ret = ec.keygen(rng)
-        blob = encrypt_ack(TrrAck(1, 0, 0, 0, 0, b""), x32(ret), rng)
-        with pytest.raises(MalformedCipher):
-            decrypt_ack(blob[:50], ret)
+        key = rng.randbytes(32)
+        blob = encrypt_ack(TrrAck(1, 0, 0, 0, 0, b""), key)
+        for cut in (blob[:50], blob[:-1], blob + b"\0"):
+            with pytest.raises(MalformedCipher):
+                decrypt_ack(cut, [key])

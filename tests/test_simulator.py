@@ -285,10 +285,9 @@ class TestWorldFootprint:
             tracemalloc.stop()
         assert traced / 100_000 < 12  # one list slot and nothing drawn
 
-    def test_nodes_share_one_ack_stream_and_their_descriptors(self):
+    def test_nodes_draw_nothing_and_share_their_descriptors(self):
         world = SimWorld(SimConfig(n_nodes=40, dishonest_rate=0.5, seed=12))
-        assert len({id(node.rng) for node in world.nodes}) == 1
-        assert world.nodes[0].rng is not world.rng
+        assert all(node.rng is None for node in world.nodes)  # acks draw none
         liars = [node.behavior == "wrong_pubkey" for node in world.nodes]
         assert any(liars)
         for node, listed, lies in zip(world.nodes, world.directory, liars):
@@ -350,12 +349,11 @@ class TestLazyWorld:
     def test_build_reads_neither_world_stream(self):
         world = SimWorld(SimConfig(n_nodes=60, dishonest_rate=0.5,
                                    fake_rate=0.2, seed=20))
-        client, acks = world.rng.getstate(), world.node_rng.getstate()
+        client = world.rng.getstate()
         for i in range(0, 60, 7):
             world.nodes[i]
             world.directory[i + 1]
         assert world.rng.getstate() == client
-        assert world.node_rng.getstate() == acks
 
     def test_build_makes_no_scalar_multiplication(self, monkeypatch):
         calls = []
@@ -406,7 +404,7 @@ class TestLazyWorld:
         rng = random.Random(18)
         tx = b"late node tx"
         node.serve_request(build_onion(tx, (world.directory[21],), 2,
-                                       ec.keygen(rng), 0, rng), (1, 1))
+                                       [rng.randbytes(32)], 0, rng), (1, 1))
         assert [p.release_height for p in node.pool.values()] == [5]
         world.clock.advance_block()
         assert not world.broadcast.log
@@ -622,11 +620,11 @@ class TestPoolInvariant:
         node, rng = world.nodes[5], random.Random(60)
         errnos = []
         for i in range(6):  # distinct txs, each served straight to node 5
-            return_kp = ec.keygen(rng)
+            keys = [rng.randbytes(32)]
             onion = build_onion(bytes([i + 1]) * 8, (world.directory[5],), 5,
-                                return_kp, 0, rng)
-            errnos.append(decrypt_ack(node.serve_request(onion, (1, 1)),
-                                      return_kp).errno)
+                                keys, 0, rng)
+            _, ack = decrypt_ack(node.serve_request(onion, (1, 1)), keys)
+            errnos.append(ack.errno)
             assert len(node.pool) <= 2
         assert errnos == [nr.ERR_OK] * 2 + [nr.ERR_POOL_FULL] * 4
         assert node.events["pool_full"] == 4

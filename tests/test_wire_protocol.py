@@ -44,7 +44,7 @@ class TestGoldenVectors:
         raw = vector("trr_routing_forward")
         r = wp.decode_trr_routing(raw)
         assert r.version == 1
-        assert r.return_pubkey == bytes(range(32))
+        assert r.ack_key == bytes(range(32))
         assert r.dst_ip == wp.parse_ipv4("10.0.0.2")
         assert r.port == 8333
         assert r.payload == bytes.fromhex("112233")
@@ -159,8 +159,9 @@ class TestTrrRouting:
 
     @pytest.mark.parametrize("length", [31, 33])
     def test_return_pubkey_length(self, length):
+        # the paper's return-key field, which carries the hop's ack key
         r = wp.TrrRouting(1, bytes(length), 0, 0, b"")
-        with pytest.raises(ValueError, match="return_pubkey must be 32 bytes"):
+        with pytest.raises(ValueError, match="ack_key must be 32 bytes"):
             wp.encode_trr_routing(r)
 
     def test_payload_too_large(self):
