@@ -443,8 +443,9 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
     """Dispatch tx over policy.num_routes fresh routes, wait out the
     release delay, and retry with new routes until the transaction is
     observed in the broadcast view.  An attempt keeps an ack only when
-    its rpt_ip is the address of the hop whose key sealed it; any other
-    is recorded as the attempt's error.
+    its rpt_ip is the address of the hop whose key sealed it and its
+    err_ip is 0, that hop or the hop after it; any other is recorded as
+    the attempt's error.
 
     Raises SizeMismatch before any route is drawn when tx is empty or
     longer than MAX_TX_SIZE, and GiveUp (carrying the report) after
@@ -474,11 +475,17 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
             except TrrError as exc:
                 attempt.error = f"{type(exc).__name__}: {exc}"
             else:
-                if ack.rpt_ip == route[hop].ip:
-                    attempt.ack = ack
-                else:
+                # a hop may blame only itself or its successor
+                blamable = {0, *(h.ip for h in route[hop:hop + 2])}
+                if ack.rpt_ip != route[hop].ip:
                     attempt.error = (f"forged ack: hop {hop + 1} sealed an "
                                      f"ack from {format_ipv4(ack.rpt_ip)}")
+                elif ack.err_ip not in blamable:
+                    attempt.error = (f"forged ack: hop {hop + 1} blamed "
+                                     f"{format_ipv4(ack.err_ip)}, not its "
+                                     f"successor")
+                else:
+                    attempt.ack = ack
             sent_round.attempts.append(attempt)
         rounds.append(sent_round)
         clock.wait_for(sent_round.dispatch_height + max_delay)

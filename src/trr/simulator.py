@@ -30,8 +30,8 @@ Everything is seeded: identical SimConfig values produce bit-identical
 outcomes.  An estimate_srtr trial reads its own 64-bit words of
 SHAKE-128 over b"srtr", the seed and the trial index: a counter-based
 stream with no seeding step, so trials are independent and trial t
-draws the same whatever the number of trials.  estimate_srd seeds a
-generator per trial, and SimWorld its client and ack generators and
+draws the same whatever the number of trials.  estimate_srd re-seeds
+one generator per trial, and SimWorld seeds its client generator and
 one per built node, from trial_seed, a splittable counter.
 """
 
@@ -39,7 +39,7 @@ import bisect
 import hashlib
 import random
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import NamedTuple
@@ -105,8 +105,8 @@ def _splitmix64(x: int) -> int:
 
 def trial_seed(master: int, index: int) -> int:
     """Independent 64-bit stream seed: estimate_srd seeds trial t's
-    generator with index t, SimWorld its client and ack generators with
-    indexes 0 and 1 and node i's build generator with index 2 + i."""
+    generator with index t, SimWorld its client generator with index 0
+    and node i's build generator with index 2 + i (index 1 is unused)."""
     return _splitmix64(_splitmix64(master & 0xFFFFFFFFFFFFFFFF) + index)
 
 
@@ -126,31 +126,32 @@ def _trial_words(cfg: SimConfig):
                      .digest(8 * count))
 
 
-def _sample(words, base: int, n: int, h: int) -> list[int]:
+def _sample(words, base: int, n: int, h: int) -> Iterator[int]:
     """Ordered sample of h distinct nodes of range(n) from words[base:base+h]
     by a virtual Fisher-Yates shuffle: hop j takes position j + w % (n - j)
     of a permutation whose moved entries live in a dict, so a draw costs
-    O(h) whatever n is.  Its bias is at most n / 2**64."""
+    O(h) whatever n is.  Its bias is at most n / 2**64.  Hops are yielded
+    one by one, so a caller that stops early pays for no later hop."""
     swap: dict[int, int] = {}
-    route = []
     for j in range(h):
         k = j + words[base + j] % (n - j)
-        route.append(swap.get(k, k))
+        yield swap.get(k, k)
         swap[k] = swap.get(j, j)
-    return route
 
 
 def estimate_srtr(cfg: SimConfig) -> float:
     """Fraction of trials in which at least one of the round's routes
     consists entirely of protocol-following hops (a single round, no
     retries).  Fake observer nodes follow the protocol, so only the
-    dishonest fraction breaks a route."""
+    dishonest fraction breaks a route.  A route is sampled only up to
+    its first dishonest hop."""
     n, h = cfg.n_nodes, cfg.hops
     cut = int(cfg.dishonest_rate * 2.0**64)
+    bases = range(0, 2 * h * cfg.num_routes, 2 * h)
     successes = 0
     for words in _trial_words(cfg):
         dishonest: dict[int, bool] = {}
-        for base in range(0, len(words), 2 * h):
+        for base in bases:
             for j, node in enumerate(_sample(words, base, n, h)):
                 flag = dishonest.get(node)
                 if flag is None:
@@ -166,23 +167,29 @@ def estimate_srtr(cfg: SimConfig) -> float:
 def estimate_srd(cfg: SimConfig) -> float:
     """Fraction of trials in which stitching the observer ledger
     recovers at least one full route (correct hops, transaction content
-    and client address)."""
+    and client address).  Trial t re-seeds one generator with
+    trial_seed(seed, t), whose master half is computed once."""
     f = cfg.fake_rate
     population = range(cfg.n_nodes)
     client_addr = cfg.n_nodes  # outside the node id space
+    master_half = _splitmix64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = random.Random()
     successes = 0
     for t in range(cfg.trials):
-        rng = random.Random(trial_seed(cfg.seed, t))
+        rng.seed(_splitmix64(master_half + t))  # trial_seed(cfg.seed, t)
         fake: dict[int, bool] = {}
         routes = []
+        released = False  # an observer holds some route's releasing hop
         for _ in range(cfg.num_routes):
             route = rng.sample(population, cfg.hops)
             for node in route:
-                if node not in fake:
-                    fake[node] = rng.random() < f
+                flag = fake.get(node)
+                if flag is None:
+                    flag = fake[node] = rng.random() < f
+            released = released or flag  # flag is the releasing hop's
             routes.append(route)
-        if not any(fake[route[-1]] for route in routes):
-            continue  # no observed releasing hop, nothing to stitch
+        if not released:
+            continue  # nothing to stitch
         records = [(route[i - 1] if i else client_addr, node,
                     route[i + 1] if i + 1 < len(route) else None)
                    for route in routes for i, node in enumerate(route)

@@ -485,17 +485,20 @@ class TestClientSend:
         assert [len(reply) for reply in replies] == [SEALED_ACK_LEN] * 3
         assert len(set(replies)) == 3
 
-    def test_forged_reporter_refused(self, world, monkeypatch):
-        # a first hop drops the packet and seals an ack in hop 3's name
-        # that blames hop 2; only the first hop's own key verifies it
+    @staticmethod
+    def forged_send(world, monkeypatch, rpt_hop, err_hop):
+        """Send once over the route of nodes 4, 8 and 2, whose first hop
+        drops the packet and seals, under its own key, an ERR_TIMEOUT ack
+        naming hop rpt_hop as reporter and hop err_hop as the one to
+        blame (both 0-based); returns the attempt."""
         route = tuple(world.directory[i] for i in (4, 8, 2))
         monkeypatch.setattr(nr, "select_routes",
                             lambda directory, n, hops, rng: [route] * n)
 
         class Forger(SimNode):
             def _handle_forward(self, routing):
-                ack = TrrAck(1, self.height, rpt_ip=route[2].ip,
-                             err_ip=routing.dst_ip, errno=nr.ERR_TIMEOUT,
+                ack = TrrAck(1, self.height, rpt_ip=route[rpt_hop].ip,
+                             err_ip=route[err_hop].ip, errno=nr.ERR_TIMEOUT,
                              errmsg=b"TrrTimeout")
                 return encrypt_ack(ack, routing.ack_key)
 
@@ -508,9 +511,30 @@ class TestClientSend:
             world.send(b"forged tx", nr.SendPolicy(num_routes=1, hops=3,
                                                    retry_rounds=1))
         (attempt,) = exc_info.value.report.rounds[0].attempts
+        return attempt
+
+    def test_forged_reporter_refused(self, world, monkeypatch):
+        # an ack in hop 3's name that blames hop 2; only the first hop's
+        # own key verifies it
+        attempt = self.forged_send(world, monkeypatch, rpt_hop=2, err_hop=1)
         assert attempt.ack is None
         assert attempt.error.startswith("forged ack: hop 1 sealed")
         assert not world.nodes[8].events  # hop 2 received nothing
+
+    def test_blame_of_a_non_neighbour_refused(self, world, monkeypatch):
+        # an ack in the first hop's own name that blames hop 3, which it
+        # is not next to (item 11: reporter and accused are adjacent)
+        attempt = self.forged_send(world, monkeypatch, rpt_hop=0, err_hop=2)
+        assert attempt.ack is None
+        assert attempt.error.startswith("forged ack: hop 1 blamed")
+        assert not world.nodes[2].events  # hop 3 received nothing
+
+    def test_blame_of_the_successor_kept(self, world, monkeypatch):
+        # the same ack blaming hop 2 is what a hop whose forward timed out
+        # sends, and the client keeps it
+        attempt = self.forged_send(world, monkeypatch, rpt_hop=0, err_hop=1)
+        assert attempt.error is None
+        assert attempt.ack.err_ip == world.directory[8].ip
 
     def test_send_makes_27_scalar_multiplications(self, monkeypatch):
         # a 3 x 3 send: 2 per layer built and 1 per layer peeled; acks

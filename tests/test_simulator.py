@@ -148,6 +148,18 @@ class TestTrialStream:
                           for one in (replace(cfg, seed=s) for s in range(200)))
         assert complements < 150
 
+    @pytest.mark.parametrize("rate, hops, routes, srtr, srd", [
+        (0.1, 2, 1, 1614, 18),
+        (0.2, 4, 2, 1295, 59),
+        (0.3, 5, 3, 858, 196),
+    ])
+    def test_streams_are_pinned(self, rate, hops, routes, srtr, srd):
+        # success counts over 2000 trials at seed 7: a change that moves
+        # any draw of either estimator moves these
+        shape = {"hops": hops, "num_routes": routes, "trials": 2000, "seed": 7}
+        assert estimate_srtr(SimConfig(dishonest_rate=rate, **shape)) == srtr / 2000
+        assert estimate_srd(SimConfig(fake_rate=rate, **shape)) == srd / 2000
+
     @pytest.mark.parametrize("offset, srtr", [(0, 1.0), (-1, 0.0)])
     def test_flag_is_a_word_below_the_cut(self, monkeypatch, offset, srtr):
         cut = int(0.5 * 2.0**64)
@@ -165,7 +177,7 @@ class TestTrialStream:
         n = data.draw(st.integers(h, 2**40))
         words = data.draw(st.lists(st.integers(0, 2**64 - 1),
                                    min_size=h, max_size=h))
-        route = _sample(words, 0, n, h)
+        route = list(_sample(words, 0, n, h))
         assert len(set(route)) == h
         assert all(0 <= node < n for node in route)
 
