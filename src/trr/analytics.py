@@ -51,7 +51,7 @@ def chain_coverage_prob(f, m: int):
     a_prev2, a_prev1 = 1, 1  # m = 0, 1
     for _ in range(2, m + 1):
         a_prev2, a_prev1 = a_prev1, f * a_prev1 + (1 - f) * f * a_prev2
-    return a_prev1 if m >= 1 else a_prev2
+    return a_prev1
 
 
 def srd_closed_form(cfg: SimConfig):

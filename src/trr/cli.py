@@ -174,11 +174,15 @@ def _positive_int_list(text: str) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    grid = [simulator.SimConfig(n_nodes=args.nodes,
-                                dishonest_rate=args.dishonest,
-                                fake_rate=args.fake, num_routes=r, hops=h,
-                                trials=args.trials, seed=args.seed)
-            for h in _int_list(args.hops) for r in _int_list(args.routes)]
+    try:  # each SimConfig checks itself before any trial runs
+        grid = [simulator.SimConfig(n_nodes=args.nodes,
+                                    dishonest_rate=args.dishonest,
+                                    fake_rate=args.fake, num_routes=r, hops=h,
+                                    trials=args.trials, seed=args.seed)
+                for h in _int_list(args.hops) for r in _int_list(args.routes)]
+    except ValueError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     csv_text = analytics.sweep(grid)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
@@ -196,7 +200,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
+    rng = random.Random()
     keypairs = [ec_crypto.keygen(rng) for _ in range(args.layers)]
     rows = []
     for size in args.sizes:
@@ -238,8 +242,7 @@ def cmd_node(args) -> int:
         node_id=args.node_id, ip=parse_ipv4(host), port=port,
         pubkey=keypair.public)
     node = node_runtime.TrrNode(
-        keypair, descriptor, node_runtime.TcpTransport(args.timeout), view,
-        None)
+        keypair, descriptor, node_runtime.TcpTransport(args.timeout), view)
     clock = FileBlockClock(args.block_file)
     node.height = clock.height()
     pubkey_hex = ec_crypto.point_to_bytes(keypair.public).hex()
@@ -323,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_positive_int_list,
                    default="8,32,64,128,256,1024,4096,10240")
     p.add_argument("--layers", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also write the CSV table here")
     p.set_defaults(func=cmd_bench)
 

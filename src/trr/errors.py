@@ -100,7 +100,3 @@ class GiveUp(TrrError):
 
 class InvalidConfig(TrrError, ValueError):
     """Send, simulation or sweep parameters break their rules."""
-
-
-class NotObserved(TrrError):
-    """Transaction id never appeared in the observer log."""

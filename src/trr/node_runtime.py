@@ -132,17 +132,17 @@ class PendingRelease:
 
 
 class TrrNode:
-    """One relay node: peels layers, forwards or releases.  rng stays in
-    the signature for callers that build a node with one; acks are
-    sealed under keys the onion carries and draw nothing from it."""
+    """One relay node: peels layers, forwards or releases.  A node draws
+    nothing at random, since acks are sealed under keys the onion
+    carries; the optional fifth argument, a generator, is accepted for
+    callers that still pass one, and ignored."""
 
     def __init__(self, keypair: KeyPair, descriptor: NodeDescriptor,
-                 transport, view, rng):
+                 transport: Transport, view: BroadcastView, _rng=None):
         self.keypair = keypair
         self.descriptor = descriptor
         self.transport = transport
         self.view = view
-        self.rng = rng
         self.height = 0
         self.pool: dict[bytes, PendingRelease] = {}  # keyed by txid
         self.events: Counter[str] = Counter()  # occurrences per event kind
@@ -438,8 +438,8 @@ class SendReport:
 
 
 def client_send(tx: bytes, directory: list[NodeDescriptor],
-                policy: SendPolicy, rng, *, transport, view,
-                clock) -> SendReport:
+                policy: SendPolicy, rng, *, transport: Transport,
+                view: BroadcastView, clock: BlockClock) -> SendReport:
     """Dispatch tx over policy.num_routes fresh routes, wait out the
     release delay, and retry with new routes until the transaction is
     observed in the broadcast view.  An attempt keeps an ack only when
@@ -458,10 +458,8 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
     for _ in range(policy.retry_rounds):
         routes = select_routes(directory, policy.num_routes, policy.hops, rng)
         sent_round = SendRound(dispatch_height=clock.height())
-        max_delay = 1
         for i, route in enumerate(routes):
             delay = policy.delays[i % len(policy.delays)]
-            max_delay = max(max_delay, delay)
             attempt = RouteAttempt(
                 hop_ids=tuple(h.node_id for h in route), delay=delay)
             # one key per hop, so no two layers share one
@@ -488,7 +486,8 @@ def client_send(tx: bytes, directory: list[NodeDescriptor],
                     attempt.ack = ack
             sent_round.attempts.append(attempt)
         rounds.append(sent_round)
-        clock.wait_for(sent_round.dispatch_height + max_delay)
+        clock.wait_for(sent_round.dispatch_height
+                       + max(a.delay for a in sent_round.attempts))
         if view.seen_in_blockchain_or_mempool(tid):
             return SendReport(txid=tid, success=True, rounds=rounds)
     raise GiveUp(f"transaction not observed after {policy.retry_rounds} rounds",

@@ -56,7 +56,6 @@ from .errors import (
     WireError,
 )
 from .wire_protocol import (
-    ACK_KEY_LEN,
     TRR_ACK_LEN,
     TrrAck,
     TrrData,
@@ -118,14 +117,10 @@ def build_onion(tx: bytes, route: tuple, release_delay: int,
     next_ip, next_port = 0, 0  # the releasing hop has no next node
     for hop, key in zip(reversed(route), reversed(ack_keys), strict=True):
         layer = TrrRouting(1, key, next_ip, next_port, packet)
-        packet = _encrypt_layer(encode_trr_routing(layer), hop.pubkey, rng)
+        packet = ec_crypto.serialize_cipher(ec_crypto.elgamal_encrypt(
+            encode_trr_routing(layer), hop.pubkey, rng))
         next_ip, next_port = hop.ip, hop.port
     return packet
-
-
-def _encrypt_layer(plaintext: bytes, pubkey: ec_crypto.CurvePoint, rng) -> bytes:
-    return ec_crypto.serialize_cipher(
-        ec_crypto.elgamal_encrypt(plaintext, pubkey, rng))
 
 
 def peel_layer(packet: bytes,

@@ -51,7 +51,6 @@ from .errors import (
     MalformedCipher,
     MalformedRouting,
     NextHopUnreachable,
-    NotObserved,
     PeerClosed,
     TrrTimeout,
 )
@@ -310,12 +309,11 @@ class NodeView:
 
 
 def sybil_first_spreader(log, txid: bytes):
-    """Origin that announced txid earliest; within a tick the log's
-    append order decides, so node ids and "client" are never compared."""
+    """Origin that announced txid earliest, None if nobody did; within a
+    tick the log's append order decides, so node ids and "client" are
+    never compared."""
     hits = [(tick, origin) for tick, origin, tid in log if tid == txid]
-    if not hits:
-        raise NotObserved(f"txid {txid.hex()[:16]} never announced")
-    return min(hits, key=lambda hit: hit[0])[1]
+    return min(hits, key=lambda hit: hit[0])[1] if hits else None
 
 
 class SimNode(TrrNode):
@@ -477,9 +475,9 @@ class SimWorld:
         descriptor = NodeDescriptor(node_id=node_id, ip=NODE_IP_BASE + node_id,
                                     port=NODE_PORT, pubkey=keypair.public)
         node = SimNode(keypair, descriptor, self.transport,
-                       NodeView(self.broadcast, node_id), None,
-                       behavior=behavior, ledger=self.attack_ledger,
-                       trace=self.trace, clock=self.clock)
+                       NodeView(self.broadcast, node_id), behavior=behavior,
+                       ledger=self.attack_ledger, trace=self.trace,
+                       clock=self.clock)
         node.listed = descriptor
         if behavior == "wrong_pubkey":  # the directory lies
             node.listed = replace(descriptor,
@@ -528,10 +526,6 @@ def run_end_to_end(cfg: SimConfig, tx: bytes) -> TraceReport:
     except GiveUp as exc:
         report = exc.report  # success is False
     release_ticks = [tick for tick, origin, t in world.broadcast.log if t == tid]
-    try:
-        spreader = sybil_first_spreader(world.broadcast.log, tid)
-    except NotObserved:
-        spreader = None
     return TraceReport(
         txid_hex=tid.hex(), success=report.success,
         rounds=report.total_rounds,
@@ -539,4 +533,4 @@ def run_end_to_end(cfg: SimConfig, tx: bytes) -> TraceReport:
         node_events=world.trace, release_ticks=release_ticks,
         sybil_log=list(world.broadcast.log),
         recovered_routes=world.attack_ledger.reconstruct(world.client_addr),
-        first_spreader=spreader)
+        first_spreader=sybil_first_spreader(world.broadcast.log, tid))

@@ -48,7 +48,6 @@ _ROUTING_HDR = struct.Struct(f"<B{ACK_KEY_LEN}sIHH")
 _ACK = struct.Struct(f"<BIIIH{ERRMSG_LEN}s")
 _FRAME_HDR = struct.Struct("<4s12sI4s")
 FRAME_HEADER_LEN = _FRAME_HDR.size
-TRR_ROUTING_HEADER_LEN = _ROUTING_HDR.size
 TRR_ACK_LEN = _ACK.size
 _COMMAND_FIELDS = {c.encode("ascii").ljust(12, b"\x00"): c for c in COMMANDS}
 

@@ -232,7 +232,7 @@ class TestBench:
     def test_small_bench(self, tmp_path, capsys):
         csv_path = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "8,64", "--layers", "2",
-                     "--seed", "3", "--csv", str(csv_path)]) == 0
+                     "--csv", str(csv_path)]) == 0
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "size,cipher_len,growth_ratio,encrypt_s,decrypt_s"
         rows = [line.split(",") for line in lines[1:]]
@@ -289,8 +289,22 @@ class TestArgumentChecks:
 
 class TestSimulate:
     def test_zero_trials_invalid(self, capsys):
-        assert main(["simulate", "--trials", "0"]) == 1
+        assert main(["simulate", "--trials", "0"]) == 2
         assert "InvalidConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--hops", "11"],
+        ["--dishonest", "1.5"],
+        ["--routes", "0"],
+        ["--nodes", "2", "--hops", "3"],
+    ], ids=" ".join)
+    def test_refused_grid_point_exits_2(self, tmp_path, capsys, argv):
+        csv_path = tmp_path / "rates.csv"
+        assert main(["simulate", *argv, "--csv", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfig: ")
+        assert err.count("\n") == 1
+        assert not csv_path.exists()
 
     def test_small_run_writes_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "rates.csv"
@@ -316,7 +330,7 @@ class TestSimulate:
 class TestBenchDeterminism:
     def test_sizes_and_growth_stable_across_runs(self, tmp_path, capsys):
         for name in ("x.csv", "y.csv"):
-            main(["bench", "--sizes", "8,32", "--layers", "2", "--seed", "6",
+            main(["bench", "--sizes", "8,32", "--layers", "2",
                   "--csv", str(tmp_path / name)])
         capsys.readouterr()
         strip_timing = [row.split(",")[:3] for row in
