@@ -92,9 +92,8 @@ def expected(behaviours, ips):
             if j == 0:
                 return None, error, 0
             return (ips[j - 1], ips[j], errno), None, 0
-    if behaviours[last] == "no_release":
-        return (ips[last], 0, nr.ERR_OK), None, 0
-    return (ips[last], 0, nr.ERR_OK), None, 1
+    released = behaviours[last] != "no_release"
+    return (ips[last], 0, nr.ERR_OK), None, int(released)
 
 
 def outcome(attempt, world, tx):
