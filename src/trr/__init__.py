@@ -1,17 +1,3 @@
 """Transaction Remote Release: layered EC-ElGamal relay of transactions
 through randomly selected nodes, with delayed release into the broadcast
 network, plus simulation and analytics tooling."""
-
-from . import analytics, ec_crypto, errors, node_runtime, onion_routing, simulator, wire_protocol
-
-__all__ = [
-    "analytics",
-    "ec_crypto",
-    "errors",
-    "node_runtime",
-    "onion_routing",
-    "simulator",
-    "wire_protocol",
-]
-
-__version__ = "0.1.0"

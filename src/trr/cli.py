@@ -24,7 +24,8 @@ import threading
 import time
 
 from . import analytics, ec_crypto, node_runtime, onion_routing, simulator
-from .errors import DelayOutOfRange, GiveUp, SizeMismatch, TrrError
+from .errors import (DelayOutOfRange, GiveUp, InvalidConfig, SizeMismatch,
+                     TrrError)
 from .wire_protocol import MAX_TX_SIZE, format_ipv4, parse_ipv4, parse_port
 
 logger = logging.getLogger("trr.cli")
@@ -173,16 +174,22 @@ def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(part) for part in text.split(",")]
 
 
-def cmd_simulate(args) -> int:
-    try:  # each SimConfig checks itself before any trial runs
-        grid = [simulator.SimConfig(n_nodes=args.nodes,
-                                    dishonest_rate=args.dishonest,
-                                    fake_rate=args.fake, num_routes=r, hops=h,
-                                    trials=args.trials, seed=args.seed)
-                for h in _int_list(args.hops) for r in _int_list(args.routes)]
+def _ip_port(text: str) -> tuple[int, int]:
+    host, _, port = text.partition(":")
+    try:
+        return parse_ipv4(host), parse_port(port)
     except ValueError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not ip:port ({exc})") from exc
+
+
+def cmd_simulate(args) -> int:
+    # each SimConfig checks itself before any trial runs
+    grid = [simulator.SimConfig(n_nodes=args.nodes,
+                                dishonest_rate=args.dishonest,
+                                fake_rate=args.fake, num_routes=r, hops=h,
+                                trials=args.trials, seed=args.seed)
+            for h in args.hops for r in args.routes]
     csv_text = analytics.sweep(grid)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
@@ -234,13 +241,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_node(args) -> int:
-    host, port_text = args.listen.rsplit(":", 1)
-    port = parse_port(port_text)
+    ip, port = args.listen
+    host = format_ipv4(ip)
     keypair = _load_keypair(args.key)
     view = FileBroadcastView(args.broadcast)
     descriptor = onion_routing.NodeDescriptor(
-        node_id=args.node_id, ip=parse_ipv4(host), port=port,
-        pubkey=keypair.public)
+        node_id=args.node_id, ip=ip, port=port, pubkey=keypair.public)
     node = node_runtime.TrrNode(
         keypair, descriptor, node_runtime.TcpTransport(args.timeout), view)
     clock = FileBlockClock(args.block_file)
@@ -251,20 +257,17 @@ def cmd_node(args) -> int:
             node, host, port, timeout=args.timeout,
             stop_event=threading.Event(), clock=clock,
             on_listening=lambda: print(f"node {args.node_id} listening on "
-                                       f"{args.listen}, pubkey {pubkey_hex}"))
+                                       f"{host}:{port}, pubkey {pubkey_hex}"))
     except KeyboardInterrupt:
         pass  # Ctrl-C is how an operator stops a node
     return 0
 
 
 def cmd_send(args) -> int:
-    try:  # SendPolicy checks itself before any file is read
-        policy = node_runtime.SendPolicy(
-            num_routes=args.routes, hops=args.hops,
-            delays=tuple(_int_list(args.delay)), retry_rounds=args.retries)
-    except (ValueError, DelayOutOfRange) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    # SendPolicy checks itself before any file is read
+    policy = node_runtime.SendPolicy(
+        num_routes=args.routes, hops=args.hops, delays=tuple(args.delay),
+        retry_rounds=args.retries)
     with open(args.tx, "rb") as fh:
         tx = fh.read()
     directory = load_directory(args.directory)
@@ -279,9 +282,6 @@ def cmd_send(args) -> int:
         _print_report(exc.report)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SizeMismatch as exc:  # empty or oversize: no route was drawn
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     _print_report(report)
     return 0
 
@@ -315,8 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=6000)
     p.add_argument("--dishonest", type=float, default=0.0)
     p.add_argument("--fake", type=float, default=0.0)
-    p.add_argument("--routes", default="3", help="comma list, e.g. 1,2,3")
-    p.add_argument("--hops", default="3", help="comma list, e.g. 2,3,4,5")
+    p.add_argument("--routes", type=_int_list, default="3",
+                   help="comma list, e.g. 1,2,3")
+    p.add_argument("--hops", type=_int_list, default="3",
+                   help="comma list, e.g. 2,3,4,5")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also write the CSV table here")
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("node", help="run a relay node")
     p.add_argument("--key", required=True, help="key path prefix (no .key)")
-    p.add_argument("--listen", required=True, help="ip:port")
+    p.add_argument("--listen", type=_ip_port, required=True, help="ip:port")
     p.add_argument("--node-id", default="node")
     p.add_argument("--broadcast", required=True, help="broadcast log file")
     p.add_argument("--block-file", required=True, help="block height file")
@@ -344,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directory", required=True)
     p.add_argument("--routes", type=int, default=2)
     p.add_argument("--hops", type=int, default=3)
-    p.add_argument("--delay", default="1,3,5", help="comma list cycled "
-                   "across routes")
+    p.add_argument("--delay", type=_int_list, default="1,3,5",
+                   help="comma list cycled across routes")
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--broadcast", required=True, help="broadcast log file")
     p.add_argument("--block-file", required=True, help="block height file")
@@ -364,6 +366,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (InvalidConfig, DelayOutOfRange, SizeMismatch) as exc:
+        # refused by SimConfig, SendPolicy or client_send's size check
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (TrrError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

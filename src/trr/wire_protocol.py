@@ -18,6 +18,7 @@ equal the rest of the buffer (Truncated if short, SizeMismatch if long).
 """
 
 import hashlib
+import ipaddress
 import struct
 from dataclasses import dataclass
 
@@ -57,22 +58,19 @@ def dsha256(payload: bytes) -> bytes:
 
 
 def _parse_decimal(text: str) -> int:
-    """ASCII digits with no leading zero, as an address field is
-    written; int() alone would also take signs, blanks, underscores and
-    other scripts' digits, and the OS reads a leading zero as octal."""
+    """ASCII digits with no leading zero, as a port field is written;
+    int() alone would also take signs, blanks, underscores and other
+    scripts' digits."""
     if not (text.isascii() and text.isdigit()) or str(int(text)) != text:
         raise ValueError(f"not a plain decimal field: {text!r}")
     return int(text)
 
 
 def parse_ipv4(text: str) -> int:
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not a dotted-quad IPv4 address: {text!r}")
-    octets = [_parse_decimal(p) for p in parts]
-    if any(o > 255 for o in octets):
-        raise ValueError(f"IPv4 octet out of range: {text!r}")
-    return octets[0] << 24 | octets[1] << 16 | octets[2] << 8 | octets[3]
+    """Dotted-quad text to its integer; ipaddress refuses a leading
+    zero (the OS would read it as octal), signs, blanks and other
+    scripts' digits."""
+    return int(ipaddress.IPv4Address(text))
 
 
 def parse_port(text: str) -> int:

@@ -38,7 +38,7 @@ def save_directory(path: str, directory: list[NodeDescriptor]) -> None:
 
 
 def seed_send(monkeypatch, seed: int) -> None:
-    """trr send draws every route, return key and layer nonce from
+    """trr send draws every route, ack key and layer nonce from
     random.SystemRandom; a seeded stand-in fixes the routes."""
     monkeypatch.setattr("trr.cli.random.SystemRandom",
                         lambda: random.Random(seed))
@@ -250,6 +250,10 @@ class TestArgumentChecks:
         ["node", "--timeout", "-1"],
         ["node", "--timeout", "0"],
         ["node", "--timeout", "nan"],
+        ["node", "--listen", "127.0.0.1"],
+        ["node", "--listen", "127.0.0.1:0"],
+        ["node", "--listen", "127.0.0.1:99999"],
+        ["node", "--listen", "localhost:9001"],
         ["send", "--timeout", "inf"],
         ["send", "--wait-timeout", "0"],
     ], ids=" ".join)
@@ -375,11 +379,13 @@ class TestNode:
         served = []
         monkeypatch.setattr(nr, "run_node_server", lambda *args, **kwargs:
                             served.append(args))
-        assert main(["node", "--key", str(prefix), "--listen", listen,
-                     "--broadcast", str(tmp_path / "bc"),
-                     "--block-file", str(tmp_path / "block")]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["node", "--key", str(prefix), "--listen", listen,
+                  "--broadcast", str(tmp_path / "bc"),
+                  "--block-file", str(tmp_path / "block")])
+        assert exc.value.code == 2
         assert served == []
-        assert "ValueError" in capsys.readouterr().err
+        assert "error: argument --listen" in capsys.readouterr().err
 
     def test_exits_1_when_it_cannot_listen(self, tmp_path, monkeypatch,
                                            capsys):
@@ -546,7 +552,7 @@ class TestSendIntegration:
                 in capsys.readouterr().out)
 
     def test_send_takes_no_seed(self, capsys):
-        # a guessable seed would fix the return key and every layer nonce
+        # a guessable seed would fix every ack key and layer nonce
         with pytest.raises(SystemExit) as exc:
             main(["send", "--tx", "tx.bin", "--directory", "nodes.csv",
                   "--broadcast", "log", "--block-file", "height",

@@ -137,16 +137,25 @@ class TestServeConnection:
 
     @pytest.mark.parametrize("via", ["peel_layer", "transport"])
     def test_zero_block_layer_refused(self, world, via):
-        # a well-formed 37-byte stream (c2 and a block count) with no block
-        packet = ec.point_to_bytes(ec.G) + (0).to_bytes(4, "little")
         first = world.directory[0]
-        if via == "peel_layer":
-            with pytest.raises(MalformedCipher, match="no blocks"):
-                peel_layer(packet, world.nodes[0].keypair.private)
-        else:
-            with pytest.raises(PeerClosed):
-                world.transport.request(first.ip, first.port, packet)
-            assert world.nodes[0].events == {"peel_failed": 1}
+        packets = {
+            # a well-formed 37-byte stream (c2 and a block count), no block
+            "no blocks": ec.point_to_bytes(ec.G) + (0).to_bytes(4, "little"),
+            # c2 = G and one block equal to the node's public key: the
+            # block decrypts to the point at infinity, which any sender
+            # can build from the directory alone
+            "point at infinity": ec.point_to_bytes(ec.G)
+            + (1).to_bytes(4, "little") + ec.point_to_bytes(first.pubkey),
+        }
+        for reason, packet in packets.items():
+            if via == "peel_layer":
+                with pytest.raises(MalformedCipher, match=reason):
+                    peel_layer(packet, world.nodes[0].keypair.private)
+            else:
+                with pytest.raises(PeerClosed):
+                    world.transport.request(first.ip, first.port, packet)
+        if via == "transport":
+            assert world.nodes[0].events == {"peel_failed": 2}
 
 
 class TestHandleRequest:
@@ -191,8 +200,8 @@ class TestHandleRequest:
                                             world.directory[1].ip)
 
     def test_off_curve_ack_key_acked(self, world):
-        # x = 0 is the first x with no secp256k1 point; once a return key,
-        # it made the node enqueue and then fail to encrypt the ack
+        # x = 0 is the first x with no secp256k1 point; an ack key is any
+        # 32 bytes, so the node must still enqueue and seal its ack
         key = bytes(32)
         with pytest.raises(MalformedCipher, match="not on curve"):
             ec.point_from_bytes(b"\x02" + key)
@@ -650,6 +659,15 @@ class TestFrameSocket:
         b.close()
         with pytest.raises(PeerClosed):
             left.recv_frame()
+        left.close()
+
+    def test_send_to_closed_peer(self):
+        # the OSError of a send to a closed peer reaches callers as PeerClosed
+        a, b = socket.socketpair()
+        left = nr.FrameSocket(a, 1.0)
+        b.close()
+        with pytest.raises(PeerClosed, match="send failed"):
+            left.send_frame("trr", b"payload")
         left.close()
 
     @pytest.mark.parametrize("replies, error", [

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import random
-import struct
 
 import pytest
 
@@ -192,7 +191,7 @@ class TestOnion:
             final, _ = build_and_peel(b"x", 2, keypool, directory, rng, delay=delay)
             assert final.release_delay == delay
 
-    def test_return_pubkey_present_at_every_hop(self, keypool, directory):
+    def test_ack_key_present_at_every_hop(self, keypool, directory):
         # the paper's return-key field carries each hop's own ack key
         rng = random.Random(59)
         route = tuple(directory[:3])
@@ -208,6 +207,9 @@ class TestOnion:
         for keys in ([bytes(32)] * 2, [bytes(32)] * 4):
             with pytest.raises(ValueError):
                 build_onion(b"tx", tuple(directory[:3]), 1, keys, 0, rng)
+        # no hop: the "onion" would be the plaintext trr_data
+        with pytest.raises(ValueError, match="no hops"):
+            build_onion(b"tx", (), 1, [], 0, rng)
 
     def test_seeded_onion_bytes_are_pinned(self):
         # pins scalar multiplication, chunk embedding and serialization
@@ -245,7 +247,7 @@ class TestAckPath:
             assert decrypt_ack(sealed_by(ack, keys, reporter), keys) == \
                 (reporter, ack)
 
-    def test_success_ack_unreadable_without_return_key(self):
+    def test_success_ack_unreadable_without_ack_keys(self):
         # the ElGamal ack masked every block with one point, so its
         # all-zero errmsg handed over the mask for rpt_ip too; a sealed
         # ack's pad never repeats, so the zeros unmask nothing else, and

@@ -158,7 +158,7 @@ class TestTrrRouting:
         assert decoded.is_release
 
     @pytest.mark.parametrize("length", [31, 33])
-    def test_return_pubkey_length(self, length):
+    def test_ack_key_length(self, length):
         # the paper's return-key field, which carries the hop's ack key
         r = wp.TrrRouting(1, bytes(length), 0, 0, b"")
         with pytest.raises(ValueError, match="ack_key must be 32 bytes"):
