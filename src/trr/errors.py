@@ -89,9 +89,10 @@ class PeerClosed(TrrError):
 
 
 class GiveUp(TrrError):
-    """Client exhausted its retry rounds without observing the release."""
+    """Client exhausted its retry rounds without observing the release;
+    report is the SendReport of every round it sent."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

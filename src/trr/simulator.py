@@ -10,11 +10,13 @@ Two layers of fidelity:
   observations back together, not by evaluating the closed-form
   predicate, so the two can be validated against each other.
 
-* SimWorld + run_end_to_end build real nodes with real keypairs wired
-  through an in-process transport, a tick-based block clock, a Sybil
-  observer logging every broadcast, an attack ledger filled by
-  observer (fake) nodes, and one trace of every node event stamped with
-  its tick, in the order the events happened.  The world keeps one node
+* SimWorld builds real nodes with real keypairs wired through an
+  in-process transport, a tick-based block clock, a Sybil observer
+  logging every broadcast, an attack ledger filled by observer (fake)
+  nodes, and one trace of every node event stamped with its tick, in
+  the order the events happened.  SimWorld.send returns the client's
+  SendReport, and everything else a send leaves is read from the world
+  itself: trace, broadcast.log and attack_ledger.  The world keeps one node
   table and builds a node (behavior, keypair, SimNode and the
   descriptor it is listed under) only when it is first touched, drawing
   it from that node's own generator, so node i depends on the seed and
@@ -46,7 +48,6 @@ from typing import NamedTuple
 
 from . import ec_crypto, node_runtime
 from .errors import (
-    GiveUp,
     InvalidConfig,
     MalformedCipher,
     MalformedRouting,
@@ -239,16 +240,6 @@ def stitch_chains(records, client_addr):
             yield i, walk(rec, [rec[1]])
 
 
-def route_pattern_reconstructible(flags) -> bool:
-    """Closed-form predicate on a route's observer pattern: both ends
-    observed and no two consecutive unobserved hops.  Kept separate
-    from the stitching implementation so tests can compare them."""
-    flags = list(flags)
-    if not flags[0] or not flags[-1]:
-        return False
-    return all(flags[i] or flags[i + 1] for i in range(len(flags) - 1))
-
-
 # -- full in-process world ---------------------------------------------------
 
 class SimClock:
@@ -317,25 +308,24 @@ def sybil_first_spreader(log, txid: bytes):
 
 
 class SimNode(TrrNode):
-    """TrrNode plus a behavior label and the descriptor the directory
-    lists it under (listed); an observer node appends one stitch_chains
-    record per request to the ledger from what _observe_request is
-    handed (src_addr, the TrrRouting, the releasing hop's TrrData), and
-    every node appends each event, stamped with its clock's tick, to the
-    world's trace."""
+    """TrrNode of one SimWorld, plus a behavior label and the descriptor
+    the directory lists it under (listed).  It starts at the world
+    clock's height; an observer node appends one stitch_chains record
+    per request to the world's attack_ledger from what _observe_request
+    is handed (src_addr, the TrrRouting, the releasing hop's TrrData),
+    and every node appends each event, stamped with the world clock's
+    tick, to the world's trace."""
 
-    def __init__(self, *args, behavior, ledger, trace, clock):
+    def __init__(self, *args, behavior, world):
         super().__init__(*args)
         self.behavior = behavior
-        self.ledger = ledger
-        self.trace = trace
-        self.clock = clock
-        self.height = clock.height()
+        self.world = world
+        self.height = world.clock.height()
 
     def _log(self, event: str, **fields) -> None:
         super()._log(event, **fields)
-        self.trace.append({"tick": self.clock.tick, "event": event,
-                           "node": self.descriptor.node_id, **fields})
+        self.world.trace.append({"tick": self.world.clock.tick, "event": event,
+                                 "node": self.descriptor.node_id, **fields})
 
     def _observe_request(self, src_addr, routing, data) -> None:
         if self.behavior != FAKE_TRR:
@@ -345,7 +335,7 @@ class SimNode(TrrNode):
             record = Observation(src_addr, own, (routing.dst_ip, routing.port))
         else:
             record = Observation(src_addr, own, None, node_runtime.txid(data.tx))
-        self.ledger.entries.append(record)
+        self.world.attack_ledger.entries.append(record)
 
     def _handle_release(self, ack_key, data) -> bytes:
         if self.behavior == "no_release":
@@ -476,8 +466,7 @@ class SimWorld:
                                     port=NODE_PORT, pubkey=keypair.public)
         node = SimNode(keypair, descriptor, self.transport,
                        NodeView(self.broadcast, node_id), behavior=behavior,
-                       ledger=self.attack_ledger, trace=self.trace,
-                       clock=self.clock)
+                       world=self)
         node.listed = descriptor
         if behavior == "wrong_pubkey":  # the directory lies
             node.listed = replace(descriptor,
@@ -497,40 +486,3 @@ class SimWorld:
         """Baseline non-TRR broadcast straight from the client; the
         Sybil observer attributes it to the client immediately."""
         self.broadcast.observe("client", tx)
-
-
-@dataclass
-class TraceReport:
-    """Everything observable about one end-to-end send; node_events is
-    the world's trace, one tick-stamped record per node event in the
-    order the events happened."""
-
-    txid_hex: str
-    success: bool
-    rounds: int
-    route_ids: list[tuple]
-    node_events: list[dict]
-    release_ticks: list[int]
-    sybil_log: list[tuple]
-    recovered_routes: list
-    first_spreader: object | None
-
-
-def run_end_to_end(cfg: SimConfig, tx: bytes) -> TraceReport:
-    """One full send over a freshly built world."""
-    world = SimWorld(cfg)
-    tid = node_runtime.txid(tx)
-    try:
-        report = world.send(tx, SendPolicy(num_routes=cfg.num_routes,
-                                           hops=cfg.hops))
-    except GiveUp as exc:
-        report = exc.report  # success is False
-    release_ticks = [tick for tick, origin, t in world.broadcast.log if t == tid]
-    return TraceReport(
-        txid_hex=tid.hex(), success=report.success,
-        rounds=report.total_rounds,
-        route_ids=[a.hop_ids for rnd in report.rounds for a in rnd.attempts],
-        node_events=world.trace, release_ticks=release_ticks,
-        sybil_log=list(world.broadcast.log),
-        recovered_routes=world.attack_ledger.reconstruct(world.client_addr),
-        first_spreader=sybil_first_spreader(world.broadcast.log, tid))

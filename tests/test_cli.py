@@ -241,6 +241,15 @@ class TestBench:
         out = capsys.readouterr().out
         assert "ratio" in out
 
+    def test_failed_round_trip_is_fatal(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ec, "elgamal_decrypt",
+                            lambda cipher, private: b"not the plaintext")
+        csv_path = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "8", "--layers", "1",
+                     "--csv", str(csv_path)]) == 1
+        assert "FATAL: round-trip failed at size 8" in capsys.readouterr().err
+        assert not csv_path.exists()
+
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("argv", [

@@ -37,6 +37,7 @@ class TestGroupLaws:
 
     def test_order_times_g_is_infinity(self):
         assert ec.scalar_mul(N, ec.G).is_infinity
+        assert ec.is_on_curve(ec.INFINITY)
 
     def test_commutativity_and_associativity(self, rng):
         pts = [ec.scalar_mul(rng.randrange(1, N), ec.G) for _ in range(6)]
@@ -50,6 +51,9 @@ class TestGroupLaws:
     def test_add_neg_is_infinity(self, rng):
         pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
         assert ec.point_add(pt, ec.point_neg(pt)).is_infinity
+        assert ec.point_neg(ec.INFINITY).is_infinity
+        assert ec.point_add(pt, ec.INFINITY) == pt
+        assert ec.point_add(ec.INFINITY, pt) == pt
 
     def test_scalar_mul_matches_repeated_addition(self, rng):
         pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
@@ -286,6 +290,9 @@ class TestElGamal:
             ec.elgamal_encrypt(b"x", ec.INFINITY, rng)
         with pytest.raises(ValueError):
             ec.elgamal_encrypt(b"x", ec.CurvePoint(5, 7), rng)
+        # satisfies the curve equation mod p, but x is not reduced
+        with pytest.raises(ValueError):
+            ec.elgamal_encrypt(b"x", ec.CurvePoint(ec.G.x + P, ec.G.y), rng)
 
 
 class TestSerialization:
@@ -320,6 +327,8 @@ class TestSerialization:
         for _ in range(20):
             pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
             assert ec.point_from_bytes(ec.point_to_bytes(pt)) == pt
+        with pytest.raises(MalformedCipher):
+            ec.point_to_bytes(ec.INFINITY)
 
     def test_off_curve_x_rejected(self):
         # x = 5 gives 132, a quadratic non-residue mod p

@@ -514,8 +514,7 @@ class TestClientSend:
         honest = world.nodes[4]
         world._nodes[4] = Forger(
             honest.keypair, honest.descriptor, world.transport, honest.view,
-            None, behavior=honest.behavior, ledger=world.attack_ledger,
-            trace=world.trace, clock=world.clock)
+            None, behavior=honest.behavior, world=world)
         with pytest.raises(GiveUp) as exc_info:
             world.send(b"forged tx", nr.SendPolicy(num_routes=1, hops=3,
                                                    retry_rounds=1))

@@ -1,4 +1,4 @@
-"""Estimator correctness, attack-ledger stitching and end-to-end traces."""
+"""Estimator correctness, attack-ledger stitching and end-to-end sends."""
 
 import contextlib
 import gc
@@ -32,8 +32,6 @@ from trr.simulator import (
     _trial_words,
     estimate_srd,
     estimate_srtr,
-    route_pattern_reconstructible,
-    run_end_to_end,
     stitch_chains,
     sybil_first_spreader,
     trial_seed,
@@ -206,6 +204,15 @@ def stitched(records, client):
             for chain in chains]
 
 
+def route_pattern_reconstructible(flags) -> bool:
+    """Closed-form oracle on a route's observer pattern: both ends
+    observed and no two consecutive unobserved hops."""
+    flags = list(flags)
+    if not flags[0] or not flags[-1]:
+        return False
+    return all(flags[i] or flags[i + 1] for i in range(len(flags) - 1))
+
+
 class TestStitching:
     def test_stitch_equals_predicate_exhaustively(self):
         # every observer pattern for route lengths 1..8
@@ -256,31 +263,58 @@ class TestStitching:
         assert not route_pattern_reconstructible([True, False, False, True])
 
 
+def send_once(cfg, tx):
+    """A fresh world of cfg after one send of tx over cfg's routes and
+    hops, and the send's report; a client that gives up reports too."""
+    world = SimWorld(cfg)
+    try:
+        report = world.send(tx, SendPolicy(num_routes=cfg.num_routes,
+                                           hops=cfg.hops))
+    except GiveUp as exc:
+        report = exc.report
+    return world, report
+
+
+def route_ids(report):
+    return [a.hop_ids for rnd in report.rounds for a in rnd.attempts]
+
+
+def release_ticks(world, tx):
+    return [tick for tick, _, tid in world.broadcast.log
+            if tid == nr.txid(tx)]
+
+
 class TestWorldDeterminism:
     def test_same_seed_same_trace(self):
         cfg = SimConfig(n_nodes=25, fake_rate=0.2, seed=9, num_routes=2, hops=3)
-        a = run_end_to_end(cfg, b"determinism probe")
-        b = run_end_to_end(cfg, b"determinism probe")
-        assert a == b  # every field, recovered_routes and first_spreader too
+        tx = b"determinism probe"
+        (a, report_a), (b, report_b) = send_once(cfg, tx), send_once(cfg, tx)
+        assert report_a == report_b
+        assert a.trace == b.trace
+        # the first spreader is read from the log, and the recovered
+        # routes from the ledger entries
+        assert a.broadcast.log == b.broadcast.log
+        assert a.attack_ledger.entries == b.attack_ledger.entries
 
     def test_trace_follows_the_request_in_time(self):
-        report = run_end_to_end(SimConfig(n_nodes=20, seed=4, num_routes=1,
-                                          hops=3), b"traced tx")
-        (hops,) = report.route_ids
+        tx = b"traced tx"
+        world, report = send_once(SimConfig(n_nodes=20, seed=4, num_routes=1,
+                                            hops=3), tx)
+        (hops,) = route_ids(report)
         first, middle, last = hops
-        assert [(e["node"], e["event"]) for e in report.node_events] == [
+        assert [(e["node"], e["event"]) for e in world.trace] == [
             (first, "received"), (middle, "received"), (last, "received"),
             (last, "enqueued"), (last, "acked"),
             (middle, "forwarded"), (first, "forwarded"), (last, "released")]
-        ticks = [e["tick"] for e in report.node_events]
+        ticks = [e["tick"] for e in world.trace]
         assert ticks == sorted(ticks)
-        assert report.node_events[-1]["tick"] in report.release_ticks
+        assert world.trace[-1]["tick"] in release_ticks(world, tx)
 
     def test_different_seed_different_routes(self):
         base = dict(n_nodes=25, num_routes=3, hops=3)
-        a = run_end_to_end(SimConfig(seed=1, **base), b"tx")
-        b = run_end_to_end(SimConfig(seed=2, **base), b"tx")
-        assert a.route_ids != b.route_ids
+        _, a = send_once(SimConfig(seed=1, **base), b"tx")
+        _, b = send_once(SimConfig(seed=2, **base), b"tx")
+        assert route_ids(a) != route_ids(b)
 
 
 class TestWorldFootprint:
@@ -398,17 +432,12 @@ class TestLazyWorld:
         assert len(calls) == 1  # touching a node derives its key
 
     def test_send_builds_only_route_nodes(self):
-        world = SimWorld(SimConfig(n_nodes=200, dishonest_rate=0.7, seed=16))
-        policy = SendPolicy(num_routes=3, hops=3)
-        try:
-            report = world.send(b"lazy tx", policy)
-        except GiveUp as exc:
-            report = exc.report
-        hops = {i for rnd in report.rounds for a in rnd.attempts
-                for i in a.hop_ids}
+        cfg = SimConfig(n_nodes=200, dishonest_rate=0.7, seed=16)
+        world, report = send_once(cfg, b"lazy tx")
+        hops = {i for ids in route_ids(report) for i in ids}
         assert report.total_rounds > 1  # a retry round touched more nodes
         assert {n.descriptor.node_id for n in world.built} == hops
-        assert len(world.built) <= (policy.num_routes * policy.hops
+        assert len(world.built) <= (cfg.num_routes * cfg.hops
                                     * report.total_rounds)
 
     def test_blocks_reach_built_nodes_in_id_order(self, monkeypatch):
@@ -446,13 +475,15 @@ class TestLazyWorld:
 class TestEndToEnd:
     def test_honest_world_releases_and_hides_client(self):
         cfg = SimConfig(n_nodes=30, seed=13, num_routes=3, hops=3)
-        report = run_end_to_end(cfg, b"visible tx " * 4)
+        tx = b"visible tx " * 4
+        world, report = send_once(cfg, tx)
         assert report.success
-        assert report.rounds == 1
-        assert report.release_ticks  # released after a block boundary
-        releasing = {ids[-1] for ids in report.route_ids}
-        assert report.first_spreader in releasing
-        assert report.first_spreader != "client"
+        assert report.total_rounds == 1
+        assert release_ticks(world, tx)  # released after a block boundary
+        releasing = {ids[-1] for ids in route_ids(report)}
+        spreader = sybil_first_spreader(world.broadcast.log, nr.txid(tx))
+        assert spreader in releasing
+        assert spreader != "client"
 
     def test_send_with_an_all_ones_chunk(self):
         # from tx offset 2 the 31 0xFF bytes fill one chunk of the
@@ -465,18 +496,17 @@ class TestEndToEnd:
 
     def test_duplicate_suppressed_across_routes(self):
         cfg = SimConfig(n_nodes=30, seed=21, num_routes=3, hops=2)
-        report = run_end_to_end(cfg, b"dup tx")
-        spreads = [e for e in report.sybil_log
-                   if e[2] == bytes.fromhex(report.txid_hex)]
-        assert len(spreads) == 1
+        world, _ = send_once(cfg, b"dup tx")
+        assert len(release_ticks(world, b"dup tx")) == 1
 
     def test_all_dishonest_gives_up(self):
         cfg = SimConfig(n_nodes=10, dishonest_rate=1.0, seed=3,
                         num_routes=2, hops=2)
-        report = run_end_to_end(cfg, b"doomed tx")
+        world, report = send_once(cfg, b"doomed tx")
         assert not report.success
-        assert report.rounds == 3
-        assert report.first_spreader is None
+        assert report.total_rounds == 3
+        assert sybil_first_spreader(world.broadcast.log,
+                                    nr.txid(b"doomed tx")) is None
 
 
 class TestDishonestModes:
