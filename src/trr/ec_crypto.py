@@ -11,8 +11,14 @@ Scalar multiplication is not constant-time.  A multiple of G adds one
 point per signed 7-bit digit of the scalar, at most 37, from a 37 x 64
 table built on first use.  Any other point's scalar is split into two
 GLV halves of about 128 bits, whose width-5 wNAF digits add odd
-multiples of the point: about 128 doublings and 43 additions.  Both
-run in one Jacobian loop, _walk.
+multiples of the point: about 128 doublings and 43 additions.
+
+Points are added in two ways only: scalar multiples in one Jacobian
+loop, _walk, and a cipher's blocks to their mask (rP to encrypt, -kC2
+to decrypt) by the chord through each block and the mask, with one
+field inversion shared by all blocks, _add_to_each.  A block equal to
+the mask or its negative has no such chord and no honest encryption
+makes one, so it is refused with MalformedCipher.
 """
 
 from dataclasses import dataclass
@@ -70,31 +76,9 @@ def is_on_curve(pt: CurvePoint) -> bool:
 
 
 def point_neg(pt: CurvePoint) -> CurvePoint:
-    if pt.is_infinity or pt.y == 0:
+    if pt.is_infinity:
         return pt
     return CurvePoint(pt.x, CURVE_P - pt.y)
-
-
-def point_add(a: CurvePoint, b: CurvePoint) -> CurvePoint:
-    if a.is_infinity:
-        return b
-    if b.is_infinity:
-        return a
-    if a.x == b.x:
-        if (a.y + b.y) % CURVE_P == 0:
-            return INFINITY
-        return point_double(a)
-    lam = (b.y - a.y) * pow(b.x - a.x, -1, CURVE_P) % CURVE_P
-    x3 = (lam * lam - a.x - b.x) % CURVE_P
-    return CurvePoint(x3, (lam * (a.x - x3) - a.y) % CURVE_P)
-
-
-def point_double(a: CurvePoint) -> CurvePoint:
-    if a.is_infinity or a.y == 0:
-        return INFINITY
-    lam = 3 * a.x * a.x * pow(2 * a.y, -1, CURVE_P) % CURVE_P
-    x3 = (lam * lam - 2 * a.x) % CURVE_P
-    return CurvePoint(x3, (lam * (a.x - x3) - a.y) % CURVE_P)
 
 
 # Scalar multiplication adds affine table points into a Jacobian sum,
@@ -329,8 +313,6 @@ def embed_chunk(chunk: bytes) -> CurvePoint:
 
 def chunk_from_point(pt: CurvePoint) -> bytes:
     """Inverse of embed_chunk; always returns the full 31-byte field."""
-    if pt.is_infinity:
-        raise MalformedCipher("cannot decode the point at infinity")
     return pt.x.to_bytes(CHUNK_LEN + 1, "big")[1:]
 
 
@@ -350,13 +332,11 @@ class CipherStream:
 
 
 def _add_to_each(points, s: CurvePoint) -> list[CurvePoint]:
-    """[pt + s for pt in points] for finite points, with one field
-    inversion shared by all slopes."""
-    if s.is_infinity:
-        return list(points)
+    """[pt + s for pt in points] for finite points and s, with one field
+    inversion shared by all slopes; a point at s or -s is refused."""
     dxs = [(pt.x - s.x) % CURVE_P for pt in points]
-    if not all(dxs):  # some pt = +-s: no chord through both
-        return [point_add(pt, s) for pt in points]
+    if not all(dxs):
+        raise MalformedCipher("a block equals the mask or its negative")
     out = []
     for pt, inv in zip(points, _inverses(dxs)):
         lam = (pt.y - s.y) * inv % CURVE_P

@@ -322,6 +322,13 @@ class SimNode(TrrNode):
         self.world = world
         self.height = world.clock.height()
 
+    def serve_request(self, packet: bytes, src_addr=None) -> bytes:
+        if self.behavior == "deny_connection":
+            raise NextHopUnreachable(f"node {self.descriptor.node_id} refused")
+        if self.behavior == "drop_data":
+            raise TrrTimeout(f"node {self.descriptor.node_id} went silent")
+        return super().serve_request(packet, src_addr)
+
     def _log(self, event: str, **fields) -> None:
         super()._log(event, **fields)
         self.world.trace.append({"tick": self.world.clock.tick, "event": event,
@@ -396,10 +403,8 @@ class InProcessTransport:
         node_id = ip - NODE_IP_BASE
         node = (self._world.nodes[node_id] if port == NODE_PORT
                 and 0 <= node_id < self._world.cfg.n_nodes else None)
-        if node is None or node.behavior == "deny_connection":
+        if node is None:
             raise NextHopUnreachable(f"no TRR listener at {ip}:{port}")
-        if node.behavior == "drop_data":
-            raise TrrTimeout(f"node {node.descriptor.node_id} went silent")
         try:
             return node.serve_request(packet,
                                       src_addr=src_addr or self._world.client_addr)

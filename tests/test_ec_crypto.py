@@ -18,6 +18,33 @@ def on_curve_oracle(pt) -> bool:
     return (pt.y * pt.y) % P == (pt.x * pt.x * pt.x + 7) % P
 
 
+# The slow affine group law, one field inversion per addition: the
+# reference the product's Jacobian walk and batched chords are checked
+# against.  The product itself never adds two arbitrary points.
+
+def point_add(a, b):
+    if a.is_infinity:
+        return b
+    if b.is_infinity:
+        return a
+    if a.x == b.x:
+        if (a.y + b.y) % P == 0:
+            return ec.INFINITY
+        return point_double(a)
+    lam = (b.y - a.y) * pow(b.x - a.x, -1, P) % P
+    x3 = (lam * lam - a.x - b.x) % P
+    return ec.CurvePoint(x3, (lam * (a.x - x3) - a.y) % P)
+
+
+def point_double(a):
+    # no point of secp256k1's prime-order group has y = 0
+    if a.is_infinity:
+        return ec.INFINITY
+    lam = 3 * a.x * a.x * pow(2 * a.y, -1, P) % P
+    x3 = (lam * lam - 2 * a.x) % P
+    return ec.CurvePoint(x3, (lam * (a.x - x3) - a.y) % P)
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
@@ -31,7 +58,7 @@ class TestGroupLaws:
         assert ec.scalar_mul(1, ec.G) == ec.G
 
     def test_two_g_is_double(self):
-        doubled = ec.point_double(ec.G)
+        doubled = point_double(ec.G)
         assert ec.scalar_mul(2, ec.G) == doubled
         assert on_curve_oracle(doubled)
 
@@ -42,24 +69,24 @@ class TestGroupLaws:
     def test_commutativity_and_associativity(self, rng):
         pts = [ec.scalar_mul(rng.randrange(1, N), ec.G) for _ in range(6)]
         for a, b in zip(pts, pts[1:]):
-            assert ec.point_add(a, b) == ec.point_add(b, a)
+            assert point_add(a, b) == point_add(b, a)
         for a, b, c in zip(pts, pts[1:], pts[2:]):
-            left = ec.point_add(ec.point_add(a, b), c)
-            right = ec.point_add(a, ec.point_add(b, c))
+            left = point_add(point_add(a, b), c)
+            right = point_add(a, point_add(b, c))
             assert left == right
 
     def test_add_neg_is_infinity(self, rng):
         pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
-        assert ec.point_add(pt, ec.point_neg(pt)).is_infinity
+        assert point_add(pt, ec.point_neg(pt)).is_infinity
         assert ec.point_neg(ec.INFINITY).is_infinity
-        assert ec.point_add(pt, ec.INFINITY) == pt
-        assert ec.point_add(ec.INFINITY, pt) == pt
+        assert point_add(pt, ec.INFINITY) == pt
+        assert point_add(ec.INFINITY, pt) == pt
 
     def test_scalar_mul_matches_repeated_addition(self, rng):
         pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
         acc = ec.INFINITY
         for k in range(1, 9):
-            acc = ec.point_add(acc, pt)
+            acc = point_add(acc, pt)
             assert ec.scalar_mul(k, pt) == acc
 
     def test_homomorphic_decryption_identity(self, rng):
@@ -68,18 +95,18 @@ class TestGroupLaws:
             m = ec.embed_chunk(rng.randbytes(31))
             r = rng.randrange(1, N)
             k = rng.randrange(1, N)
-            c1 = ec.point_add(m, ec.scalar_mul(r, ec.scalar_mul(k, ec.G)))
+            c1 = point_add(m, ec.scalar_mul(r, ec.scalar_mul(k, ec.G)))
             shared = ec.scalar_mul(k, ec.scalar_mul(r, ec.G))
-            assert ec.point_add(c1, ec.point_neg(shared)) == m
+            assert point_add(c1, ec.point_neg(shared)) == m
 
 
 def affine_double_and_add(k, pt):
     # slow reference: one affine doubling per bit of k, no tables
     acc = ec.INFINITY
     for bit in bin(k % N)[2:]:
-        acc = ec.point_double(acc)
+        acc = point_double(acc)
         if bit == "1":
-            acc = ec.point_add(acc, pt)
+            acc = point_add(acc, pt)
     return acc
 
 
@@ -161,12 +188,12 @@ class TestFastPaths:
     def test_batch_addition_matches_point_add(self, rng):
         s = ec.scalar_mul(rng.randrange(1, N), ec.G)
         pts = [ec.scalar_mul(rng.randrange(1, N), ec.G) for _ in range(5)]
-        assert ec._add_to_each(pts, s) == [ec.point_add(p, s) for p in pts]
-        # a point equal to s or to -s has no chord through s
+        assert ec._add_to_each(pts, s) == [point_add(p, s) for p in pts]
+        # a point equal to s or to -s has no chord through s: refused
         for odd in (s, ec.point_neg(s)):
             mixed = pts[:2] + [odd] + pts[2:]
-            assert ec._add_to_each(mixed, s) == [ec.point_add(p, s) for p in mixed]
-        assert ec._add_to_each(pts, ec.INFINITY) == pts
+            with pytest.raises(MalformedCipher, match="mask"):
+                ec._add_to_each(mixed, s)
 
     def test_shared_secret_matches_openssl(self, rng):
         # ECDH against an independent secp256k1 implementation

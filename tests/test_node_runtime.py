@@ -138,16 +138,19 @@ class TestServeConnection:
     @pytest.mark.parametrize("via", ["peel_layer", "transport"])
     def test_zero_block_layer_refused(self, world, via):
         first = world.directory[0]
-        packets = {
+        one_block = ec.point_to_bytes(ec.G) + (1).to_bytes(4, "little")
+        packets = [
             # a well-formed 37-byte stream (c2 and a block count), no block
-            "no blocks": ec.point_to_bytes(ec.G) + (0).to_bytes(4, "little"),
-            # c2 = G and one block equal to the node's public key: the
-            # block decrypts to the point at infinity, which any sender
-            # can build from the directory alone
-            "point at infinity": ec.point_to_bytes(ec.G)
-            + (1).to_bytes(4, "little") + ec.point_to_bytes(first.pubkey),
-        }
-        for reason, packet in packets.items():
+            ("no blocks", ec.point_to_bytes(ec.G) + (0).to_bytes(4, "little")),
+            # c2 = G and one block equal to the node's public key kG or to
+            # -kG, the mask decryption adds: no chord adds the block to the
+            # mask, and any sender can build both from the directory alone
+            ("the mask or its negative",
+             one_block + ec.point_to_bytes(first.pubkey)),
+            ("the mask or its negative",
+             one_block + ec.point_to_bytes(ec.point_neg(first.pubkey))),
+        ]
+        for reason, packet in packets:
             if via == "peel_layer":
                 with pytest.raises(MalformedCipher, match=reason):
                     peel_layer(packet, world.nodes[0].keypair.private)
@@ -155,7 +158,7 @@ class TestServeConnection:
                 with pytest.raises(PeerClosed):
                     world.transport.request(first.ip, first.port, packet)
         if via == "transport":
-            assert world.nodes[0].events == {"peel_failed": 2}
+            assert world.nodes[0].events == {"peel_failed": 3}
 
 
 class TestHandleRequest:

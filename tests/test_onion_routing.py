@@ -25,6 +25,8 @@ from trr.wire_protocol import (
     parse_ipv4,
 )
 
+from test_ec_crypto import point_add
+
 
 @pytest.fixture(scope="module")
 def keypool():
@@ -281,10 +283,34 @@ class TestAckPath:
         # the release layer's stream: a 4-byte length, the 41-byte routing
         # header and the 15-byte trr_data header, so its third chunk holds
         # tx[2:33] alone
-        mask = ec.point_add(blocks[2], ec.point_neg(ec.embed_chunk(tx[2:33])))
-        first, second = (ec.chunk_from_point(ec.point_add(b, ec.point_neg(mask)))
+        mask = point_add(blocks[2], ec.point_neg(ec.embed_chunk(tx[2:33])))
+        first, second = (ec.chunk_from_point(point_add(b, ec.point_neg(mask)))
                          for b in blocks[:2])
         assert first[5:] + second[:6] != keys[1]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="an ElGamal layer carries no integrity check, so "
+                       "a hop can replace a block of the layer it forwards "
+                       "with any curve point and the next hop still peels "
+                       "it: the tagging attack of Danezis & Goldberg "
+                       "(\"Sphinx\", IEEE S&P 2009) (ROADMAP item 2)")
+    def test_tampered_layer_refused_by_next_hop(self, keypool, directory):
+        rng = random.Random(97)
+        tx = rng.randbytes(200)
+        keys = ack_keys(rng, 2)
+        packet = build_onion(tx, tuple(directory[:2]), 1, keys, now=0, rng=rng)
+        routing, _ = peel_layer(packet, keypool[0].private)
+        stream = ec.deserialize_cipher(routing.payload)
+        # hop 1 swaps the last block, which holds the tail of the tx
+        other = ec.scalar_mul(rng.randrange(1, ec.CURVE_ORDER), ec.G)
+        tampered = ec.serialize_cipher(
+            ec.CipherStream(stream.c2, stream.blocks[:-1] + (other,)))
+        refused = False
+        try:
+            peel_layer(tampered, keypool[1].private)
+        except (MalformedCipher, MalformedRouting):
+            refused = True
+        assert refused, "hop 2 peeled a layer that hop 1 changed"
 
     def test_success_ack_ciphertext_constant_length(self):
         # a 45-byte ack and a 16-byte tag, whoever reports
