@@ -19,6 +19,10 @@ to decrypt) by the chord through each block and the mask, with one
 field inversion shared by all blocks, _add_to_each.  A block equal to
 the mask or its negative has no such chord and no honest encryption
 makes one, so it is refused with MalformedCipher.
+
+Points are finite: the wire form cannot encode the identity, and no
+product path makes it.  scalar_mul's ValueError for a scalar 0 mod n never
+escapes peel_layer: a node's key is in 1..n-1 and c2 is a decoded point.
 """
 
 from dataclasses import dataclass
@@ -53,32 +57,19 @@ def _is_nonresidue(z: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class CurvePoint:
-    """Affine point; (None, None) is the point at infinity."""
+    """A finite affine point (see the module docstring)."""
 
-    x: int | None
-    y: int | None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
+    x: int
+    y: int
 
 
-INFINITY = CurvePoint(None, None)
 G = CurvePoint(_GX, _GY)
 
 
 def is_on_curve(pt: CurvePoint) -> bool:
-    if pt.is_infinity:
-        return True
     if not (0 <= pt.x < CURVE_P and 0 <= pt.y < CURVE_P):
         return False
     return (pt.y * pt.y - pt.x * pt.x * pt.x - CURVE_B) % CURVE_P == 0
-
-
-def point_neg(pt: CurvePoint) -> CurvePoint:
-    if pt.is_infinity:
-        return pt
-    return CurvePoint(pt.x, CURVE_P - pt.y)
 
 
 # Scalar multiplication adds affine table points into a Jacobian sum,
@@ -112,14 +103,15 @@ def _walk(steps):
     """Yield the running sum, in Jacobian coordinates, after each step.
 
     A step (n, x, y) doubles the sum n times and then adds the affine
-    point (x, y), or nothing when x is None.  The sum starts at infinity
-    (Z = 0, which doubling keeps).  The mixed addition has no branch for
-    adding a point to itself or to its negative: no caller's walk meets
-    either case (see _g_steps and _glv_steps).
+    point (x, y), or nothing when x is None.  The sum starts at the first
+    step, (0, x, y) in every caller, so Z is never 0.  The mixed addition
+    has no branch for adding a point to itself or to its negative: no
+    caller's walk meets either case (see _g_steps and _glv_steps).
     """
     p = CURVE_P
-    X = Y = Z = 0
-    for n, x2, y2 in steps:
+    (_, X, Y), Z = steps[0], 1
+    yield X, Y, Z
+    for n, x2, y2 in steps[1:]:
         for _ in range(n):
             # dbl-2009-l for a = 0, with D = 4 X B
             a = X * X % p
@@ -129,9 +121,7 @@ def _walk(steps):
             Z = 2 * Y * Z % p
             X = (e * e - 2 * d) % p
             Y = (e * (d - X) - 8 * b * b) % p
-        if x2 is None:
-            pass
-        elif Z:
+        if x2 is not None:
             zz = Z * Z % p
             h = x2 * zz % p - X
             r = y2 * zz * Z % p - Y
@@ -141,8 +131,6 @@ def _walk(steps):
             X = (r * r - hhh - 2 * v) % p
             Y = (r * (v - X) - Y * hhh) % p
             Z = Z * h % p
-        else:
-            X, Y, Z = x2, y2, 1
         yield X, Y, Z
 
 
@@ -260,10 +248,10 @@ def _glv_steps(k: int, pt: CurvePoint) -> list[tuple]:
 
 
 def scalar_mul(k: int, pt: CurvePoint) -> CurvePoint:
-    """k * pt with k taken mod the group order; not constant-time."""
+    """k * pt, k taken mod n, refused at 0 (ValueError); not constant-time."""
     k %= CURVE_ORDER
-    if k == 0 or pt.is_infinity:
-        return INFINITY
+    if k == 0:
+        raise ValueError("scalar is 0 mod the group order")
     if pt.x == _GX and pt.y == _GY:
         steps = _g_steps(k)
     else:
@@ -346,7 +334,7 @@ def _add_to_each(points, s: CurvePoint) -> list[CurvePoint]:
 
 
 def elgamal_encrypt(plaintext: bytes, recipient_pub: CurvePoint, rng) -> CipherStream:
-    if recipient_pub.is_infinity or not is_on_curve(recipient_pub):
+    if not is_on_curve(recipient_pub):
         raise ValueError("recipient public key not a valid curve point")
     data = len(plaintext).to_bytes(_LEN_PREFIX, "little") + plaintext
     r = rng.randrange(1, CURVE_ORDER)
@@ -362,9 +350,9 @@ def elgamal_decrypt(cipher: CipherStream, private: int) -> bytes:
     whose points are finite and on the curve, so none is checked again."""
     if not cipher.blocks:
         raise MalformedCipher("cipher stream has no blocks")
-    neg_shared = point_neg(scalar_mul(private, cipher.c2))
+    mask = scalar_mul(-private, cipher.c2)
     out = bytearray()
-    for point in _add_to_each(cipher.blocks, neg_shared):
+    for point in _add_to_each(cipher.blocks, mask):
         out += chunk_from_point(point)
     length = int.from_bytes(out[:_LEN_PREFIX], "little")
     if length > len(out) - _LEN_PREFIX:
@@ -377,8 +365,6 @@ def elgamal_decrypt(cipher: CipherStream, private: int) -> bytes:
 
 def point_to_bytes(pt: CurvePoint) -> bytes:
     """Compressed encoding: parity prefix 0x02/0x03 plus 32-byte x."""
-    if pt.is_infinity:
-        raise MalformedCipher("cannot serialize the point at infinity")
     prefix = b"\x02" if pt.y % 2 == 0 else b"\x03"
     return prefix + pt.x.to_bytes(32, "big")
 

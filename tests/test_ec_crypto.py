@@ -20,16 +20,21 @@ def on_curve_oracle(pt) -> bool:
 
 # The slow affine group law, one field inversion per addition: the
 # reference the product's Jacobian walk and batched chords are checked
-# against.  The product itself never adds two arbitrary points.
+# against.  The product itself never adds two arbitrary points, and its
+# points are finite; here None stands for the point at infinity.
+
+def neg(pt):
+    return ec.CurvePoint(pt.x, P - pt.y)
+
 
 def point_add(a, b):
-    if a.is_infinity:
+    if a is None:
         return b
-    if b.is_infinity:
+    if b is None:
         return a
     if a.x == b.x:
         if (a.y + b.y) % P == 0:
-            return ec.INFINITY
+            return None
         return point_double(a)
     lam = (b.y - a.y) * pow(b.x - a.x, -1, P) % P
     x3 = (lam * lam - a.x - b.x) % P
@@ -38,8 +43,8 @@ def point_add(a, b):
 
 def point_double(a):
     # no point of secp256k1's prime-order group has y = 0
-    if a.is_infinity:
-        return ec.INFINITY
+    if a is None:
+        return None
     lam = 3 * a.x * a.x * pow(2 * a.y, -1, P) % P
     x3 = (lam * lam - 2 * a.x) % P
     return ec.CurvePoint(x3, (lam * (a.x - x3) - a.y) % P)
@@ -62,9 +67,14 @@ class TestGroupLaws:
         assert ec.scalar_mul(2, ec.G) == doubled
         assert on_curve_oracle(doubled)
 
-    def test_order_times_g_is_infinity(self):
-        assert ec.scalar_mul(N, ec.G).is_infinity
-        assert ec.is_on_curve(ec.INFINITY)
+    def test_order_of_g(self, rng):
+        assert ec.scalar_mul(N - 1, ec.G) == neg(ec.G)
+        # a multiple of the order would be the identity, which is no point
+        base = ec.scalar_mul(rng.randrange(1, N), ec.G)
+        for k in (0, N, -N, 2 * N):
+            for pt in (ec.G, base):
+                with pytest.raises(ValueError):
+                    ec.scalar_mul(k, pt)
 
     def test_commutativity_and_associativity(self, rng):
         pts = [ec.scalar_mul(rng.randrange(1, N), ec.G) for _ in range(6)]
@@ -77,14 +87,13 @@ class TestGroupLaws:
 
     def test_add_neg_is_infinity(self, rng):
         pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
-        assert point_add(pt, ec.point_neg(pt)).is_infinity
-        assert ec.point_neg(ec.INFINITY).is_infinity
-        assert point_add(pt, ec.INFINITY) == pt
-        assert point_add(ec.INFINITY, pt) == pt
+        assert point_add(pt, neg(pt)) is None
+        assert point_add(pt, None) == pt
+        assert point_add(None, pt) == pt
 
     def test_scalar_mul_matches_repeated_addition(self, rng):
         pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
-        acc = ec.INFINITY
+        acc = None
         for k in range(1, 9):
             acc = point_add(acc, pt)
             assert ec.scalar_mul(k, pt) == acc
@@ -97,12 +106,12 @@ class TestGroupLaws:
             k = rng.randrange(1, N)
             c1 = point_add(m, ec.scalar_mul(r, ec.scalar_mul(k, ec.G)))
             shared = ec.scalar_mul(k, ec.scalar_mul(r, ec.G))
-            assert point_add(c1, ec.point_neg(shared)) == m
+            assert point_add(c1, neg(shared)) == m
 
 
 def affine_double_and_add(k, pt):
     # slow reference: one affine doubling per bit of k, no tables
-    acc = ec.INFINITY
+    acc = None
     for bit in bin(k % N)[2:]:
         acc = point_double(acc)
         if bit == "1":
@@ -133,15 +142,27 @@ class TestFastPaths:
     def test_scalar_mul_matches_reference(self, rng):
         # small multiples of G as bases pin the odd-multiple table to
         # known points
-        pts = [ec.G, ec.point_neg(ec.G),
-               ec.scalar_mul(rng.randrange(1, N), ec.G)]
+        pts = [ec.G, neg(ec.G), ec.scalar_mul(rng.randrange(1, N), ec.G)]
         small = [affine_double_and_add(j, ec.G) for j in (2, 3, 15)]
         for k in self.EDGE_SCALARS:
             for pt in pts + small:
-                assert ec.scalar_mul(k, pt) == affine_double_and_add(k, pt), k
+                if k == 0:  # the identity is no point
+                    with pytest.raises(ValueError):
+                        ec.scalar_mul(k, pt)
+                else:
+                    assert ec.scalar_mul(k, pt) == affine_double_and_add(k, pt), k
         for k in [rng.randrange(N) for _ in range(40)]:
             for pt in pts:
                 assert ec.scalar_mul(k, pt) == affine_double_and_add(k, pt), k
+
+    def test_walks_start_at_a_point(self, rng):
+        # _walk starts its sum at its first step, with no doubling first
+        pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
+        for k in self.EDGE_SCALARS:
+            if k % N:
+                for steps in (ec._g_steps(k % N), ec._glv_steps(k % N, pt)):
+                    n, x, y = steps[0]
+                    assert n == 0 and ec.is_on_curve(ec.CurvePoint(x, y)), k
 
     def test_edge_scalars_cover_every_glv_sign(self, rng):
         signs = set()
@@ -170,11 +191,17 @@ class TestFastPaths:
     @given(st.integers(-N, 2 * N), st.integers(-N, 2 * N))
     @example(2, N - 1)
     @example(N - 1, N - 1)
+    @example(0, 2)
+    @example(3, -N)
     @settings(max_examples=40, deadline=None)
     def test_product_of_scalars(self, a, b):
         # the GLV path (a times bG) against the fixed-base table
-        assert ec.scalar_mul(a, ec.scalar_mul(b, ec.G)) == \
-            ec.scalar_mul(a * b % N, ec.G)
+        if a % N and b % N:
+            assert ec.scalar_mul(a, ec.scalar_mul(b, ec.G)) == \
+                ec.scalar_mul(a * b % N, ec.G)
+        else:  # a product 0 mod n is the identity, which is no point
+            with pytest.raises(ValueError):
+                ec.scalar_mul(a, ec.scalar_mul(b, ec.G))
 
     def test_endomorphism_constants(self, rng):
         assert ec.scalar_mul(ec._LAMBDA, ec.G) == ec.CurvePoint(
@@ -190,7 +217,7 @@ class TestFastPaths:
         pts = [ec.scalar_mul(rng.randrange(1, N), ec.G) for _ in range(5)]
         assert ec._add_to_each(pts, s) == [point_add(p, s) for p in pts]
         # a point equal to s or to -s has no chord through s: refused
-        for odd in (s, ec.point_neg(s)):
+        for odd in (s, neg(s)):
             mixed = pts[:2] + [odd] + pts[2:]
             with pytest.raises(MalformedCipher, match="mask"):
                 ec._add_to_each(mixed, s)
@@ -314,8 +341,6 @@ class TestElGamal:
 
     def test_encrypt_requires_valid_pubkey(self, rng):
         with pytest.raises(ValueError):
-            ec.elgamal_encrypt(b"x", ec.INFINITY, rng)
-        with pytest.raises(ValueError):
             ec.elgamal_encrypt(b"x", ec.CurvePoint(5, 7), rng)
         # satisfies the curve equation mod p, but x is not reduced
         with pytest.raises(ValueError):
@@ -354,8 +379,6 @@ class TestSerialization:
         for _ in range(20):
             pt = ec.scalar_mul(rng.randrange(1, N), ec.G)
             assert ec.point_from_bytes(ec.point_to_bytes(pt)) == pt
-        with pytest.raises(MalformedCipher):
-            ec.point_to_bytes(ec.INFINITY)
 
     def test_off_curve_x_rejected(self):
         # x = 5 gives 132, a quadratic non-residue mod p

@@ -138,6 +138,7 @@ class TestServeConnection:
     @pytest.mark.parametrize("via", ["peel_layer", "transport"])
     def test_zero_block_layer_refused(self, world, via):
         first = world.directory[0]
+        minus_k_g = ec.CurvePoint(first.pubkey.x, ec.CURVE_P - first.pubkey.y)
         one_block = ec.point_to_bytes(ec.G) + (1).to_bytes(4, "little")
         packets = [
             # a well-formed 37-byte stream (c2 and a block count), no block
@@ -148,7 +149,7 @@ class TestServeConnection:
             ("the mask or its negative",
              one_block + ec.point_to_bytes(first.pubkey)),
             ("the mask or its negative",
-             one_block + ec.point_to_bytes(ec.point_neg(first.pubkey))),
+             one_block + ec.point_to_bytes(minus_k_g)),
         ]
         for reason, packet in packets:
             if via == "peel_layer":

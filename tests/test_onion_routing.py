@@ -25,7 +25,7 @@ from trr.wire_protocol import (
     parse_ipv4,
 )
 
-from test_ec_crypto import point_add
+from test_ec_crypto import neg, point_add
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +213,23 @@ class TestOnion:
         with pytest.raises(ValueError, match="no hops"):
             build_onion(b"tx", (), 1, [], 0, rng)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="each layer adds its own blocks, so a hop reads "
+                       "its distance to the release from the length of the "
+                       "packet it receives (Defect C); a fixed-length header "
+                       "as in Sphinx (Danezis & Goldberg, IEEE S&P 2009) "
+                       "hides it (ROADMAP items 3 and 15)")
+    def test_every_hop_sees_the_same_length(self, keypool, directory):
+        rng = random.Random(103)
+        packet = build_onion(rng.randbytes(250), tuple(directory[:3]), 1,
+                             ack_keys(rng, 3), now=0, rng=rng)
+        lengths = []
+        for kp in keypool[:3]:
+            lengths.append(len(packet))
+            routing, _ = peel_layer(packet, kp.private)
+            packet = routing.payload
+        assert len(set(lengths)) == 1, f"hops saw {lengths} bytes"
+
     def test_seeded_onion_bytes_are_pinned(self):
         # pins scalar multiplication, chunk embedding and serialization
         # together: a faster curve path must give the same bytes, and a
@@ -283,8 +300,8 @@ class TestAckPath:
         # the release layer's stream: a 4-byte length, the 41-byte routing
         # header and the 15-byte trr_data header, so its third chunk holds
         # tx[2:33] alone
-        mask = point_add(blocks[2], ec.point_neg(ec.embed_chunk(tx[2:33])))
-        first, second = (ec.chunk_from_point(point_add(b, ec.point_neg(mask)))
+        mask = point_add(blocks[2], neg(ec.embed_chunk(tx[2:33])))
+        first, second = (ec.chunk_from_point(point_add(b, neg(mask)))
                          for b in blocks[:2])
         assert first[5:] + second[:6] != keys[1]
 

@@ -541,6 +541,27 @@ class TestDishonestModes:
             world.send(b"tx", SendPolicy(num_routes=1, hops=3, retry_rounds=1))
         assert world.nodes[1].events["peel_failed"] >= 1
 
+    def test_ok_ack_in_a_failed_round_names_a_withholder(self):
+        # a releasing hop acks OK only once the tx is pending, and an honest
+        # one then broadcasts it; so in a round that failed, every route
+        # acked OK ends at a hop that withheld (ROADMAP item 16)
+        withholders = []
+        for seed in (1, 2, 3):
+            world = SimWorld(SimConfig(n_nodes=60, dishonest_rate=0.5,
+                                       fake_rate=0.2, seed=seed))
+            for i in range(15):
+                try:
+                    report = world.send(bytes([i + 1]) * 40, SendPolicy(
+                        num_routes=2, hops=3, retry_rounds=4))
+                    failed = report.rounds[:-1]
+                except GiveUp as exc:
+                    failed = exc.report.rounds
+                withholders += [world.nodes[a.hop_ids[-1]].behavior
+                                for rnd in failed for a in rnd.attempts
+                                if a.ok]
+        assert len(withholders) >= 5  # not vacuous
+        assert set(withholders) == {"no_release"}
+
 
 class TestFakeNodesAttack:
     def test_ledger_only_filled_by_fake_nodes(self):
