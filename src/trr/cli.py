@@ -76,18 +76,28 @@ class FileBroadcastView:
 
 
 class FileBlockClock:
-    """Block height read from a single-integer file; waiting polls."""
+    """Block height read from a single-integer file; waiting polls.
+
+    A missing or empty file reads as the last height read (0 at first):
+    `echo 1 > height` truncates the file before it writes, and a read in
+    that gap must not take the chain back to 0, which would make a
+    client's wait for its release height return at once.
+    """
 
     def __init__(self, path: str, timeout: float = 60.0):
         self.path = path
         self.timeout = timeout
+        self._last = 0
 
     def height(self) -> int:
         try:
             with open(self.path, encoding="ascii") as fh:
-                return int(fh.read().strip() or "0")
+                text = fh.read().strip()
         except FileNotFoundError:
-            return 0
+            return self._last
+        if text:
+            self._last = int(text)
+        return self._last
 
     def wait_for(self, height: int) -> None:
         deadline = time.monotonic() + self.timeout

@@ -13,12 +13,14 @@ table built on first use.  Any other point's scalar is split into two
 GLV halves of about 128 bits, whose width-5 wNAF digits add odd
 multiples of the point: about 128 doublings and 43 additions.
 
-Points are added in two ways only: scalar multiples in one Jacobian
-loop, _walk, and a cipher's blocks to their mask (rP to encrypt, -kC2
-to decrypt) by the chord through each block and the mask, with one
-field inversion shared by all blocks, _add_to_each.  A block equal to
-the mask or its negative has no such chord and no honest encryption
-makes one, so it is refused with MalformedCipher.
+Points are added only by _walk, one mixed Jacobian-affine addition, and
+normalised only by _to_affine, with one field inversion shared by a
+whole batch.  Scalar multiples walk their table points, and a cipher's
+blocks are each added to their mask (rP to encrypt, -kC2 to decrypt)
+by a two-step walk, all normalised together (_add_to_each).  A block
+equal to the mask or its negative would make its walk meet its addend
+or the addend's negative, which the addition has no branch for, and no
+honest encryption makes one, so it is refused with MalformedCipher.
 
 Points are finite: the wire form cannot encode the identity, and no
 product path makes it.  scalar_mul's ValueError for a scalar 0 mod n never
@@ -28,7 +30,7 @@ escapes peel_layer: a node's key is in 1..n-1 and c2 is a decoded point.
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import EmbeddingFailure, LengthMismatch, MalformedCipher
+from .errors import EmbeddingFailure, MalformedCipher
 
 # secp256k1: y^2 = x^3 + 7 over F_p
 CURVE_P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -72,30 +74,24 @@ def is_on_curve(pt: CurvePoint) -> bool:
     return (pt.y * pt.y - pt.x * pt.x * pt.x - CURVE_B) % CURVE_P == 0
 
 
-# Scalar multiplication adds affine table points into a Jacobian sum,
-# where (X, Y, Z) stands for (X / Z^2, Y / Z^3), so no group operation
-# needs a field inversion; sums are normalised at the end, several at once.
+# Each addition adds an affine point into a Jacobian sum, where
+# (X, Y, Z) stands for (X / Z^2, Y / Z^3), so none needs a field
+# inversion; sums are normalised at the end, several at once.
 
-def _inverses(values: list[int]) -> list[int]:
-    """[1 / v mod p for v in values], for nonzero values, with one field
-    inversion shared by all (Montgomery's trick)."""
-    prefix = [1]  # prefix[i] = values[0] * ... * values[i - 1]
-    for v in values:
-        prefix.append(prefix[-1] * v % CURVE_P)
+def _to_affine(sums: list) -> list[tuple[int, int]]:
+    """Affine (x, y) of each Jacobian (X, Y, Z) in sums, Z nonzero, with
+    one field inversion shared by all (Montgomery's trick)."""
+    prefix = [1]  # prefix[i] = Z_0 * ... * Z_(i-1)
+    for _, _, z in sums:
+        prefix.append(prefix[-1] * z % CURVE_P)
     inv = pow(prefix[-1], -1, CURVE_P)  # 1 / prefix[i + 1] at step i
-    out = [0] * len(values)
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = inv * prefix[i] % CURVE_P
-        inv = inv * values[i] % CURVE_P
-    return out
-
-
-def _to_affine(sums) -> list[tuple[int, int]]:
-    """Affine (x, y) of each Jacobian (X, Y, Z) in sums."""
-    out = []
-    for (x, y, _), zi in zip(sums, _inverses([z for _, _, z in sums])):
+    out = [None] * len(sums)
+    for i in range(len(sums) - 1, -1, -1):
+        x, y, z = sums[i]
+        zi = inv * prefix[i] % CURVE_P
+        inv = inv * z % CURVE_P
         zi2 = zi * zi % CURVE_P
-        out.append((x * zi2 % CURVE_P, y * zi2 * zi % CURVE_P))
+        out[i] = (x * zi2 % CURVE_P, y * zi2 * zi % CURVE_P)
     return out
 
 
@@ -106,7 +102,9 @@ def _walk(steps):
     point (x, y), or nothing when x is None.  The sum starts at the first
     step, (0, x, y) in every caller, so Z is never 0.  The mixed addition
     has no branch for adding a point to itself or to its negative: no
-    caller's walk meets either case (see _g_steps and _glv_steps).
+    caller's walk meets either case (see _g_steps, _glv_steps and
+    _odd_multiples), and _add_to_each refuses a block at the mask or
+    its negative, so that its walks meet neither.
     """
     p = CURVE_P
     (_, X, Y), Z = steps[0], 1
@@ -196,18 +194,11 @@ def _split_scalar(k: int) -> tuple[int, int]:
 
 
 def _odd_multiples(x: int, y: int) -> list[tuple[int, int]]:
-    """Affine P, 3P, ..., 15P for P = (x, y), with one inversion.
-
-    2P = (X, Y, Z) is the affine (X, Y) on the isomorphic curve
-    y^2 = x^3 + 7 Z^6, onto which (x, y) -> (x Z^2, y Z^3) maps; the
-    walk never uses the curve's constant, so P's image there takes seven
-    mixed additions of 2P, and each sum's z, times Z, is its z on ours.
-    """
-    *_, (x2, y2, z2) = _walk([(0, x, y), (1, None, None)])
-    zz = z2 * z2 % CURVE_P
-    x1, y1 = x * zz % CURVE_P, y * zz * z2 % CURVE_P
-    sums = _walk([(0, x1, y1)] + [(0, x2, y2)] * 7)
-    return _to_affine([(x, y, z * z2 % CURVE_P) for x, y, z in sums])
+    """Affine P, 3P, ..., 15P for P = (x, y): 2P is normalised, since a
+    walk adds affine points, and then a walk from P adds it seven times."""
+    *_, twice = _walk([(0, x, y), (1, None, None)])
+    (x2, y2), = _to_affine([twice])
+    return _to_affine(list(_walk([(0, x, y)] + [(0, x2, y2)] * 7)))
 
 
 def _glv_steps(k: int, pt: CurvePoint) -> list[tuple]:
@@ -320,17 +311,15 @@ class CipherStream:
 
 
 def _add_to_each(points, s: CurvePoint) -> list[CurvePoint]:
-    """[pt + s for pt in points] for finite points and s, with one field
-    inversion shared by all slopes; a point at s or -s is refused."""
-    dxs = [(pt.x - s.x) % CURVE_P for pt in points]
-    if not all(dxs):
+    """[pt + s for pt in points], each a two-step walk from s, normalised
+    together; a point with s's x, so s or -s, is refused."""
+    if any(pt.x == s.x for pt in points):
         raise MalformedCipher("a block equals the mask or its negative")
-    out = []
-    for pt, inv in zip(points, _inverses(dxs)):
-        lam = (pt.y - s.y) * inv % CURVE_P
-        x3 = (lam * lam - pt.x - s.x) % CURVE_P
-        out.append(CurvePoint(x3, (lam * (pt.x - x3) - pt.y) % CURVE_P))
-    return out
+    sums = []
+    for pt in points:
+        *_, last = _walk([(0, s.x, s.y), (0, pt.x, pt.y)])
+        sums.append(last)
+    return [CurvePoint(x, y) for x, y in _to_affine(sums)]
 
 
 def elgamal_encrypt(plaintext: bytes, recipient_pub: CurvePoint, rng) -> CipherStream:
@@ -356,7 +345,7 @@ def elgamal_decrypt(cipher: CipherStream, private: int) -> bytes:
         out += chunk_from_point(point)
     length = int.from_bytes(out[:_LEN_PREFIX], "little")
     if length > len(out) - _LEN_PREFIX:
-        raise LengthMismatch(
+        raise MalformedCipher(
             f"declared length {length} exceeds capacity {len(out) - _LEN_PREFIX}")
     return bytes(out[_LEN_PREFIX:_LEN_PREFIX + length])
 

@@ -12,13 +12,11 @@ class EmbeddingFailure(TrrError):
 
 
 class MalformedCipher(TrrError):
-    """Ciphertext bytes are not a valid cipher stream (truncation, bad
-    point encoding, point off curve)."""
-
-
-class LengthMismatch(TrrError):
-    """Decrypted length prefix exceeds the decoded capacity; the usual
-    symptom of decrypting with the wrong private key."""
+    """Ciphertext bytes do not open: not a valid cipher stream
+    (truncation, bad point encoding, point off curve), or a stream whose
+    plaintext is not what it should hold (a length prefix past the
+    decoded capacity, a layer with no routing header, a release with no
+    trr_data), the usual symptom of a wrong key or a corrupted layer."""
 
 
 # -- wire codecs -------------------------------------------------------
@@ -63,11 +61,6 @@ class UnknownCommand(WireError):
 
 class InsufficientNodes(TrrError):
     """Directory too small to select the requested route length."""
-
-
-class MalformedRouting(TrrError):
-    """A layer decrypted (structurally) but its routing header did not
-    decode; signals a wrong key or corrupted layer."""
 
 
 # -- node runtime ------------------------------------------------------

@@ -36,7 +36,6 @@ from .errors import (
     GiveUp,
     InvalidConfig,
     MalformedCipher,
-    MalformedRouting,
     NextHopUnreachable,
     NotTrr,
     PeerClosed,
@@ -163,14 +162,14 @@ class TrrNode:
         src_addr (the simulator alone passes one) and what peel_layer
         decoded: the TrrRouting, and the TrrData at the releasing hop.
 
-        Raises MalformedCipher/MalformedRouting when the layer cannot
-        be peeled; with no routing header there is no ack key, so the
-        connection is simply closed and the previous hop reports.
+        Raises MalformedCipher when the layer cannot be peeled; with no
+        routing header there is no ack key, so the connection is simply
+        closed and the previous hop reports.
         """
         try:
             routing, data = peel_layer(packet, self.keypair.private)
-        except (MalformedCipher, MalformedRouting) as exc:
-            self._log("peel_failed", error=type(exc).__name__)
+        except MalformedCipher:
+            self._log("peel_failed")
             raise
         self._observe_request(src_addr, routing, data)
         self._log("received", size=len(packet),

@@ -50,9 +50,7 @@ from . import ec_crypto
 from .errors import (
     InsufficientNodes,
     InvalidConfig,
-    LengthMismatch,
     MalformedCipher,
-    MalformedRouting,
     WireError,
 )
 from .wire_protocol import (
@@ -128,23 +126,23 @@ def peel_layer(packet: bytes,
     """Strip one layer; returns its TrrRouting and, at the releasing
     hop (dst_ip 0), the TrrData in its payload, else None.
 
-    MalformedCipher means the bytes are not even a valid cipher stream;
-    MalformedRouting means a structurally valid stream that did not
+    A layer that does not peel raises MalformedCipher, whatever the
+    cause: bytes that are no cipher stream, a stream that does not
     decrypt into a routing header (wrong key or corrupted layer), or a
     release whose payload is no trr_data.
     """
-    stream = ec_crypto.deserialize_cipher(packet)
+    plain = ec_crypto.elgamal_decrypt(
+        ec_crypto.deserialize_cipher(packet), node_private)
     try:
-        plain = ec_crypto.elgamal_decrypt(stream, node_private)
         routing = decode_trr_routing(plain)
-    except (LengthMismatch, WireError) as exc:
-        raise MalformedRouting(f"layer did not peel: {exc}") from exc
+    except WireError as exc:
+        raise MalformedCipher(f"layer did not peel: {exc}") from exc
     if not routing.is_release:
         return routing, None
     try:
         return routing, decode_trr_data(routing.payload)
     except WireError as exc:
-        raise MalformedRouting(f"release payload did not decode: {exc}") from exc
+        raise MalformedCipher(f"release payload did not decode: {exc}") from exc
 
 
 ACK_TAG_LEN = 16

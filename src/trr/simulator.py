@@ -50,7 +50,6 @@ from . import ec_crypto, node_runtime
 from .errors import (
     InvalidConfig,
     MalformedCipher,
-    MalformedRouting,
     NextHopUnreachable,
     PeerClosed,
     TrrTimeout,
@@ -408,7 +407,7 @@ class InProcessTransport:
         try:
             return node.serve_request(packet,
                                       src_addr=src_addr or self._world.client_addr)
-        except (MalformedCipher, MalformedRouting) as exc:
+        except MalformedCipher as exc:
             raise PeerClosed(
                 f"node {node.descriptor.node_id} closed: {exc}") from exc
 

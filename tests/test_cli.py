@@ -220,6 +220,17 @@ class TestFileAdapters:
         assert clock.height() == 7
         clock.wait_for(7)  # returns immediately
 
+    def test_block_clock_keeps_its_height_across_an_empty_read(self, tmp_path):
+        # `echo 1 > height` truncates the file before it writes the number
+        path = tmp_path / "height"
+        clock = FileBlockClock(str(path), timeout=1.0)
+        path.write_text("5\n")
+        assert clock.height() == 5
+        path.write_text("")
+        assert clock.height() == 5
+        path.write_text("6\n")
+        assert clock.height() == 6
+
     def test_block_clock_wait_gives_up_quietly(self, tmp_path, monkeypatch):
         monkeypatch.setattr(nr, "POLL_INTERVAL_S", 0.01)
         clock = FileBlockClock(str(tmp_path / "h"), timeout=0.05)

@@ -76,3 +76,28 @@ def test_every_module_level_import_is_read():
         unread += [f"{path.relative_to(ROOT)}: {name}" for name in
                    sorted(set(imported_names(tree)) - set(loaded_names(tree)))]
     assert not unread
+
+
+def raised_names(tree: ast.Module):
+    """Names of what the module raises: `raise X(...)` or `raise X`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_every_error_type_is_raised():
+    # a merged or dropped error must not leave its type behind
+    from trr import errors
+    types = [obj for obj in vars(errors).values() if isinstance(obj, type)
+             and issubclass(obj, Exception) and obj.__module__ == errors.__name__]
+    assert types, "no error types in trr.errors"
+    raised = {name for path in PACKAGE.glob("*.py")
+              for name in raised_names(parse(path))}
+    raised_types = [cls for cls in types if cls.__name__ in raised]
+    unraised = [cls.__name__ for cls in types
+                if not any(issubclass(r, cls) for r in raised_types)]
+    assert not unraised

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from trr import ec_crypto as ec
-from trr.errors import InsufficientNodes, MalformedCipher, MalformedRouting
+from trr.errors import InsufficientNodes, MalformedCipher
 from trr.onion_routing import (
     SEALED_ACK_LEN,
     NodeDescriptor,
@@ -134,11 +134,11 @@ class TestOnion:
             final, _ = build_and_peel(tx, hops, keypool, directory, rng)
             assert final.tx == tx
 
-    def test_wrong_key_raises_malformed_routing(self, keypool, directory):
+    def test_wrong_key_raises_malformed_cipher(self, keypool, directory):
         rng = random.Random(37)
         route = tuple(directory[:3])
         packet = build_onion(b"tx", route, 1, ack_keys(rng, 3), 0, rng)
-        with pytest.raises(MalformedRouting):
+        with pytest.raises(MalformedCipher, match="exceeds capacity"):
             peel_layer(packet, keypool[5].private)
 
     def test_layer_isolation(self, keypool, directory):
@@ -147,17 +147,17 @@ class TestOnion:
         route = tuple(directory[:4])
         packet = build_onion(b"tx bytes", route, 1, ack_keys(rng, 4), 0, rng)
         for wrong in (1, 2, 3):
-            with pytest.raises(MalformedRouting):
+            with pytest.raises(MalformedCipher, match="exceeds capacity"):
                 peel_layer(packet, keypool[wrong].private)
 
-    def test_release_with_bad_data_raises_malformed_routing(self, keypool):
+    def test_release_with_bad_data_raises_malformed_cipher(self, keypool):
         rng = random.Random(39)
         header = TrrRouting(  # a release whose payload is no trr_data
             version=1, ack_key=rng.randbytes(32),
             dst_ip=0, port=0, payload=b"\x01\x02")
         packet = ec.serialize_cipher(ec.elgamal_encrypt(
             encode_trr_routing(header), keypool[0].public, rng))
-        with pytest.raises(MalformedRouting, match="release payload"):
+        with pytest.raises(MalformedCipher, match="release payload"):
             peel_layer(packet, keypool[0].private)
 
     def test_garbage_packet_malformed_cipher(self):
@@ -325,7 +325,7 @@ class TestAckPath:
         refused = False
         try:
             peel_layer(tampered, keypool[1].private)
-        except (MalformedCipher, MalformedRouting):
+        except MalformedCipher:
             refused = True
         assert refused, "hop 2 peeled a layer that hop 1 changed"
 

@@ -535,7 +535,7 @@ class TestDishonestModes:
         assert not exc_info.value.report.success
         assert not world.broadcast.log
 
-    def test_wrong_pubkey_visible_as_malformed_routing(self):
+    def test_wrong_pubkey_visible_as_peel_failure(self):
         world = self.build_world_with("wrong_pubkey")
         with pytest.raises(GiveUp):
             world.send(b"tx", SendPolicy(num_routes=1, hops=3, retry_rounds=1))
